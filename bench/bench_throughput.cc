@@ -953,8 +953,8 @@ int main() {
          "latency & throughput",
          "the same read-modify-write transaction driven through the "
          "embedded API and through the wire protocol (one socket session "
-         "per client thread, multiplexed over the server's epoll loop + "
-         "2-worker pool): the column gap is the full cost of framing, "
+         "per client thread, multiplexed over the server's two epoll "
+         "loops): the column gap is the full cost of framing, "
          "CRCs, loopback TCP, and session scheduling — 4 round trips per "
          "transaction (begin/read/write/commit)");
 
@@ -1046,7 +1046,7 @@ int main() {
           std::printf(
               "\nexpected shape: socket p50 carries a fixed several-"
               "round-trip tax over in_process (loopback RTT x 4 plus "
-              "epoll/worker handoffs), so socket throughput per client is "
+              "epoll wake-ups), so socket throughput per client is "
               "RTT-bound and scales with CLIENT COUNT while in_process "
               "scales with cores. On a single-core box both columns "
               "timeshare one core and the wire tax shows up almost "

@@ -94,6 +94,7 @@ void GcDaemon::Loop(size_t shard) {
   const bool primary = shard == 0;
   uint64_t wait_ms = interval_ms_;
   uint64_t seen_seq = 0;
+  bool armed_for_pin = false;  // Our last skip armed the nudge (see below).
   for (;;) {
     bool nudged = false;
     {
@@ -124,6 +125,14 @@ void GcDaemon::Loop(size_t shard) {
     // chain, index or store work.
     const Timestamp fallback = oracle_->ReadTs();
     const Timestamp watermark = active_txns_->Watermark(fallback);
+    // An arm set for a pinned backlog swallows the commit nudges meant for
+    // every shard, but only this worker polls for the pin's release. Once
+    // it is gone, deliver one nudge so the shards holding the backlog wake
+    // instead of sleeping out their interval.
+    if (armed_for_pin && gc_list_->OldestObsoleteSince() <= watermark) {
+      Nudge();
+    }
+    armed_for_pin = false;
     if (gc_list_->ShardOldestObsoleteSince(shard) > watermark) {
       // Pinned AGGREGATE backlog (e.g. a long-lived snapshot): RE-ARM so
       // per-commit nudges don't wake every worker into this same skip once
@@ -137,6 +146,7 @@ void GcDaemon::Loop(size_t shard) {
           gc_list_->OldestObsoleteSince() > watermark;
       if (pinned_backlog) {
         nudge_armed_.store(true, std::memory_order_release);
+        armed_for_pin = true;
       }
       wait_ms = pinned_backlog ? std::min(interval_ms_, kPinnedRetryMs)
                                : interval_ms_;

@@ -88,8 +88,13 @@ std::shared_ptr<const Version> VersionChain::Visible(Timestamp start_ts,
   // reachable here is kept alive by its chain predecessor or by the epoch
   // limbo, so promoting the raw pointer back to an owning one is safe.
   EpochManager::Guard guard(epochs_);
+  const Version* older = nullptr;
   for (const Version* v = head_raw_.load(std::memory_order_acquire); v;
-       v = v->older_raw.load(std::memory_order_acquire)) {
+       v = older) {
+    // Link before timestamp: a prune severs v's older link only after v
+    // committed, so a walk that sees the cut also sees the commit. In the
+    // other order it could read v as uncommitted, then find nothing older.
+    older = v->older_raw.load(std::memory_order_acquire);
     const Timestamp ts = v->commit_ts.load(std::memory_order_acquire);
     if (ts == kNoTimestamp) {
       if (self != kNoTxn && v->writer == self) {
@@ -111,8 +116,10 @@ std::shared_ptr<const Version> VersionChain::LatestCommitted() const {
     return nullptr;
   }
   EpochManager::Guard guard(epochs_);
+  const Version* older = nullptr;
   for (const Version* v = head_raw_.load(std::memory_order_acquire); v;
-       v = v->older_raw.load(std::memory_order_acquire)) {
+       v = older) {
+    older = v->older_raw.load(std::memory_order_acquire);  // See Visible().
     if (v->committed()) return v->shared_from_this();
   }
   return nullptr;
@@ -137,8 +144,10 @@ Timestamp VersionChain::NewestCommitTs() const {
     return kNoTimestamp;
   }
   EpochManager::Guard guard(epochs_);
+  const Version* older = nullptr;
   for (const Version* v = head_raw_.load(std::memory_order_acquire); v;
-       v = v->older_raw.load(std::memory_order_acquire)) {
+       v = older) {
+    older = v->older_raw.load(std::memory_order_acquire);  // See Visible().
     const Timestamp ts = v->commit_ts.load(std::memory_order_acquire);
     if (ts != kNoTimestamp) return ts;
   }
@@ -158,8 +167,10 @@ void VersionChain::CommittedNewerThan(
     return;
   }
   EpochManager::Guard guard(epochs_);
+  const Version* older = nullptr;
   for (const Version* v = head_raw_.load(std::memory_order_acquire); v;
-       v = v->older_raw.load(std::memory_order_acquire)) {
+       v = older) {
+    older = v->older_raw.load(std::memory_order_acquire);  // See Visible().
     const Timestamp ts = v->commit_ts.load(std::memory_order_acquire);
     if (ts == kNoTimestamp) continue;
     if (ts <= start_ts) break;

@@ -40,6 +40,8 @@ void Client::Close() {
     ::close(fd_);
     fd_ = -1;
   }
+  inbuf_.clear();
+  in_off_ = 0;
 }
 
 Status Client::SendAll(const char* data, size_t n) {
@@ -57,12 +59,33 @@ Status Client::SendAll(const char* data, size_t n) {
   return Status::OK();
 }
 
-Status Client::RecvAll(char* data, size_t n) {
-  size_t off = 0;
-  while (off < n) {
-    const ssize_t r = ::recv(fd_, data + off, n - off, 0);
+Status Client::RoundTrip(const std::string& payload, Slice* body) {
+  if (fd_ < 0) return Status::IOError("client is not connected");
+  const std::string frame = EncodeFrame(payload);
+  NEOSI_RETURN_IF_ERROR(SendAll(frame.data(), frame.size()));
+
+  // Drop the previous reply (the caller is done with *body by now), then
+  // receive until one whole frame sits in inbuf_; bytes past it stay.
+  inbuf_.erase(0, in_off_);
+  in_off_ = 0;
+  Slice reply;
+  while (true) {
+    switch (ParseFrame(inbuf_, kMaxReplyBytes, &reply, &in_off_)) {
+      case FrameParse::kOk: {
+        Status wire_status;
+        NEOSI_RETURN_IF_ERROR(DecodeReply(reply, &wire_status, body));
+        return wire_status;
+      }
+      case FrameParse::kMalformed:
+        Close();
+        return Status::Corruption("bad reply frame (oversized or CRC)");
+      case FrameParse::kNeedMore:
+        break;
+    }
+    char buf[16 * 1024];
+    const ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
     if (r > 0) {
-      off += static_cast<size_t>(r);
+      inbuf_.append(buf, static_cast<size_t>(r));
       continue;
     }
     if (r < 0 && errno == EINTR) continue;
@@ -71,31 +94,6 @@ Status Client::RecvAll(char* data, size_t n) {
         r == 0 ? "connection closed by server (session dropped)"
                : "recv failed");
   }
-  return Status::OK();
-}
-
-Status Client::RoundTrip(const std::string& payload, Slice* body) {
-  if (fd_ < 0) return Status::IOError("client is not connected");
-  const std::string frame = EncodeFrame(payload);
-  NEOSI_RETURN_IF_ERROR(SendAll(frame.data(), frame.size()));
-
-  char header[kFrameHeaderBytes];
-  NEOSI_RETURN_IF_ERROR(RecvAll(header, sizeof(header)));
-  const uint32_t len = DecodeFixed32(header);
-  const uint32_t crc = DecodeFixed32(header + 4);
-  if (len > (64u << 20)) {
-    Close();
-    return Status::Corruption("oversized reply frame");
-  }
-  reply_storage_.resize(len);
-  NEOSI_RETURN_IF_ERROR(RecvAll(reply_storage_.data(), len));
-  if (Crc32c(reply_storage_.data(), len) != crc) {
-    Close();
-    return Status::Corruption("reply CRC mismatch");
-  }
-  Status wire_status;
-  NEOSI_RETURN_IF_ERROR(DecodeReply(reply_storage_, &wire_status, body));
-  return wire_status;
 }
 
 Result<Client::BeginInfo> Client::Begin(IsolationLevel isolation,

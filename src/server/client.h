@@ -2,7 +2,7 @@
 //
 // One Client == one session == at most one open transaction. Not
 // thread-safe: a session is a serial command stream, so give each thread
-// its own Client (the server multiplexes them over its worker pool).
+// its own Client (the server multiplexes them over its loop threads).
 //
 // Every call returns the server-side Status verbatim, so the embedded
 // retry contract carries over the wire: Status::IsRetryable() covers
@@ -69,13 +69,17 @@ class Client {
 
  private:
   /// Frames `payload`, sends it, and reads back one reply frame. On OK the
-  /// reply body is left in `*body` (backed by reply_storage_).
+  /// reply body is left in `*body` (a view into inbuf_, valid until the
+  /// next call).
   Status RoundTrip(const std::string& payload, Slice* body);
   Status SendAll(const char* data, size_t n);
-  Status RecvAll(char* data, size_t n);
+
+  static constexpr size_t kMaxReplyBytes = 64u << 20;
 
   int fd_ = -1;
-  std::string reply_storage_;
+  /// Received bytes; the reply frame last handed out ends at in_off_.
+  std::string inbuf_;
+  size_t in_off_ = 0;
 };
 
 }  // namespace neosi

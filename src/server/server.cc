@@ -10,6 +10,7 @@
 
 #include <arpa/inet.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -19,7 +20,7 @@ namespace {
 
 /// epoll_data.ptr sentinels for the two non-session fds.
 void* const kListenTag = nullptr;
-void* const kEventTag = reinterpret_cast<void*>(1);
+void* const kStopTag = reinterpret_cast<void*>(1);
 
 bool GetProps(Slice* in, NamedProperties* props) {
   uint32_t n = 0;
@@ -69,10 +70,9 @@ Result<std::unique_ptr<Server>> Server::Start(GraphDatabase* db,
     const unsigned hw = std::thread::hardware_concurrency();
     workers = static_cast<int>(hw == 0 ? 2 : (hw < 4 ? hw : 4));
   }
-  server->epoll_thread_ = std::thread(&Server::EpollLoop, server.get());
-  server->workers_.reserve(static_cast<size_t>(workers));
+  server->loops_.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    server->workers_.emplace_back(&Server::WorkerLoop, server.get());
+    server->loops_.emplace_back(&Server::Loop, server.get());
   }
   return server;
 }
@@ -107,16 +107,17 @@ Status Server::Listen() {
   port_ = ntohs(bound.sin_port);
 
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  event_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || event_fd_ < 0) {
+  stop_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (epoll_fd_ < 0 || stop_fd_ < 0) {
     return Status::IOError("epoll/eventfd setup failed");
   }
+  // Both level-triggered: every loop may wake for them.
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.ptr = kListenTag;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.ptr = kEventTag;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
+  ev.data.ptr = kStopTag;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, stop_fd_, &ev);
   return Status::OK();
 }
 
@@ -124,23 +125,15 @@ void Server::Stop() {
   if (stopped_.exchange(true)) return;
   stop_.store(true, std::memory_order_release);
   uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(event_fd_, &one, sizeof(one));
-  if (epoll_thread_.joinable()) epoll_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    for (size_t i = 0; i < workers_.size(); ++i) {
-      work_queue_.push_back(nullptr);
-    }
+  [[maybe_unused]] ssize_t n = ::write(stop_fd_, &one, sizeof(one));
+  for (std::thread& loop : loops_) {
+    if (loop.joinable()) loop.join();
   }
-  work_cv_.notify_all();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
-  }
-  // All threads are gone; sessions are exclusively ours now. Every request
-  // that was ever queued has been executed (sentinels sit BEHIND real work
-  // in the FIFO), so first deliver the replies those executions produced:
-  // a Commit the engine applied whose reply evaporated here would leave
-  // the client believing in an abort while the write is durable.
+  // All loops are gone; sessions are exclusively ours now. A loop finishes
+  // the request it claimed before it looks at stop_, so first deliver the
+  // replies that hit a full socket: a Commit the engine applied whose
+  // reply evaporated here would leave the client believing in an abort
+  // while the write is durable.
   FlushPendingRepliesOnStop();
   // Then abort every still-open transaction so locks release and
   // snapshots unregister.
@@ -156,18 +149,11 @@ void Server::Stop() {
   session_gauge_.store(0, std::memory_order_relaxed);
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (event_fd_ >= 0) ::close(event_fd_);
-  listen_fd_ = epoll_fd_ = event_fd_ = -1;
+  if (stop_fd_ >= 0) ::close(stop_fd_);
+  listen_fd_ = epoll_fd_ = stop_fd_ = -1;
 }
 
 void Server::FlushPendingRepliesOnStop() {
-  // Collect the sessions workers finished with after the epoll thread
-  // left; their framed replies are sitting in outbuf like any kWriting
-  // session's.
-  {
-    std::lock_guard<std::mutex> lock(rearm_mu_);
-    rearm_queue_.clear();  // The walk below covers every session.
-  }
   for (auto& [fd, session] : sessions_) {
     Session* s = session.get();
     if (s->out_off >= s->outbuf.size()) continue;
@@ -192,46 +178,36 @@ void Server::FlushPendingRepliesOnStop() {
   }
 }
 
-void Server::EpollLoop() {
-  constexpr int kMaxEvents = 64;
-  epoll_event events[kMaxEvents];
+void Server::Loop() {
+  int timeout_ms = -1;
+  if (options_.idle_timeout_ms > 0) {
+    timeout_ms = static_cast<int>(
+        options_.idle_timeout_ms < 100 ? options_.idle_timeout_ms : 100);
+  }
+  epoll_event event;
   while (!stop_.load(std::memory_order_acquire)) {
-    int timeout_ms = -1;
-    if (options_.idle_timeout_ms > 0) {
-      timeout_ms = static_cast<int>(
-          options_.idle_timeout_ms < 100 ? options_.idle_timeout_ms : 100);
-    }
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
-    if (stop_.load(std::memory_order_acquire)) break;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    for (int i = 0; i < n; ++i) {
-      void* tag = events[i].data.ptr;
+    // One event per wait: a claimed session may block in the engine, and
+    // any further events claimed with it would wait behind it.
+    const int n = ::epoll_wait(epoll_fd_, &event, 1, timeout_ms);
+    if (n < 0 && errno != EINTR) break;
+    if (n == 1 && !stop_.load(std::memory_order_acquire)) {
+      void* tag = event.data.ptr;
       if (tag == kListenTag) {
         AcceptAll();
-      } else if (tag == kEventTag) {
-        uint64_t drain;
-        while (::read(event_fd_, &drain, sizeof(drain)) > 0) {
-        }
-      } else {
+      } else if (tag != kStopTag) {
         Session* s = static_cast<Session*>(tag);
-        const uint32_t ev = events[i].events;
-        if (s->state == Session::State::kWriting) {
-          if (ev & (EPOLLERR | EPOLLHUP)) {
-            Teardown(s);
-          } else {
-            OnWritable(s);
-          }
-        } else {
-          // kReading: EPOLLRDHUP/EPOLLHUP surface through read() returning
-          // 0, so just attempt the read.
+        if (s->state.load(std::memory_order_acquire) !=
+            Session::State::kWriting) {
+          // EPOLLRDHUP/EPOLLHUP, and a swept session's shutdown(), surface
+          // through read() returning 0, so just attempt the read.
           OnReadable(s);
+        } else if (event.events & (EPOLLERR | EPOLLHUP)) {
+          Teardown(s);
+        } else if (Flush(s)) {
+          Serve(s);
         }
       }
     }
-    DrainRearmQueue();
     SweepIdle();
   }
 }
@@ -243,46 +219,54 @@ void Server::AcceptAll() {
     if (fd < 0) return;  // EAGAIN (or transient error): back to epoll.
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto session = std::make_unique<Session>();
+    auto owned = std::make_unique<Session>();
+    Session* session = owned.get();
     session->fd = fd;
-    session->last_active = std::chrono::steady_clock::now();
+    session->last_active.store(std::chrono::steady_clock::now(),
+                               std::memory_order_relaxed);
+    // Registered before the fd is armed: from then on another loop may
+    // claim the session and tear it down.
+    {
+      std::lock_guard<std::mutex> lock(sessions_mu_);
+      sessions_[fd] = std::move(owned);
+    }
+    session_gauge_.fetch_add(1, std::memory_order_relaxed);
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
-    ev.data.ptr = session.get();
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      ::close(fd);
-      continue;
-    }
-    sessions_[fd] = std::move(session);
-    session_gauge_.fetch_add(1, std::memory_order_relaxed);
+    ev.data.ptr = session;
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) Teardown(session);
   }
 }
 
-void Server::ArmRead(Session* s) {
-  s->state = Session::State::kReading;
+void Server::Arm(Session* s, Session::State state, uint32_t events) {
+  s->state.store(state, std::memory_order_release);
   epoll_event ev{};
-  ev.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
+  ev.events = events | EPOLLONESHOT;
   ev.data.ptr = s;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, s->fd, &ev);
-}
-
-void Server::ArmWrite(Session* s) {
-  s->state = Session::State::kWriting;
-  epoll_event ev{};
-  ev.events = EPOLLOUT | EPOLLONESHOT;
-  ev.data.ptr = s;
+  std::lock_guard<std::mutex> lock(epoll_mu_);
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, s->fd, &ev);
 }
 
 void Server::Teardown(Session* s) {
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, s->fd, nullptr);
-  ::close(s->fd);
+  {
+    std::lock_guard<std::mutex> lock(epoll_mu_);
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, s->fd, nullptr);
+  }
   if (s->txn) {
     if (s->txn->IsActive()) s->txn->Abort();
     s->txn.reset();
     open_txns_.fetch_sub(1, std::memory_order_relaxed);
   }
-  sessions_.erase(s->fd);
+  // Erase before close: once the fd number is free, another loop may
+  // accept a new connection onto it and register that under the same key.
+  std::unique_ptr<Session> owned;
+  {
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    auto it = sessions_.find(s->fd);
+    owned = std::move(it->second);
+    sessions_.erase(it);
+  }
+  ::close(s->fd);
   session_gauge_.fetch_sub(1, std::memory_order_relaxed);
 }
 
@@ -292,9 +276,12 @@ void Server::OnReadable(Session* s) {
     const ssize_t n = ::read(s->fd, buf, sizeof(buf));
     if (n > 0) {
       s->inbuf.append(buf, static_cast<size_t>(n));
+      // A short read drained the socket; anything that arrives later is
+      // reported by the EPOLLONESHOT re-arm.
+      if (static_cast<size_t>(n) < sizeof(buf)) break;
       continue;
     }
-    if (n == 0) {  // Peer closed.
+    if (n == 0) {  // Peer closed (or the idle sweep shut the socket down).
       Teardown(s);
       return;
     }
@@ -303,36 +290,54 @@ void Server::OnReadable(Session* s) {
     Teardown(s);
     return;
   }
-  s->last_active = std::chrono::steady_clock::now();
-  PumpInput(s);
+  s->last_active.store(std::chrono::steady_clock::now(),
+                       std::memory_order_relaxed);
+  Serve(s);
 }
 
-void Server::PumpInput(Session* s) {
-  Slice payload;
-  size_t consumed = 0;
-  switch (ParseFrame(s->inbuf, options_.max_frame_bytes, &payload,
-                     &consumed)) {
-    case FrameParse::kNeedMore:
-      ArmRead(s);
+void Server::Serve(Session* s) {
+  while (true) {
+    Slice payload;
+    size_t consumed = 0;
+    switch (ParseFrame(s->inbuf, options_.max_frame_bytes, &payload,
+                       &consumed)) {
+      case FrameParse::kNeedMore:
+        Arm(s, Session::State::kReading, EPOLLIN | EPOLLRDHUP);
+        return;
+      case FrameParse::kMalformed:
+        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        Teardown(s);
+        return;
+      case FrameParse::kOk:
+        break;
+    }
+    // Claim the request against the idle sweep. A swept socket still yields
+    // the bytes queued before its shutdown(); executing them would apply a
+    // Commit whose reply can no longer be sent. Whichever side wins, the
+    // request runs with its reply delivered or never runs. From here on a
+    // request waiting in the engine is busy, not idle.
+    if (s->state.exchange(Session::State::kExecuting,
+                          std::memory_order_acq_rel) ==
+        Session::State::kClosing) {
+      Teardown(s);
       return;
-    case FrameParse::kMalformed:
+    }
+    const std::string reply = ExecutePayload(s, payload);
+    s->inbuf.erase(0, consumed);
+    if (reply.empty()) {
+      // Malformed body inside a CRC-valid frame: no reply, drop the session.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       Teardown(s);
       return;
-    case FrameParse::kOk:
-      break;
+    }
+    s->outbuf = EncodeFrame(reply);
+    s->out_off = 0;
+    // Pipelined requests may already be buffered: parse again after send.
+    if (!Flush(s)) return;
   }
-  s->request.assign(payload.data(), payload.size());
-  s->inbuf.erase(0, consumed);
-  s->state = Session::State::kExecuting;
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    work_queue_.push_back(s);
-  }
-  work_cv_.notify_one();
 }
 
-void Server::OnWritable(Session* s) {
+bool Server::Flush(Session* s) {
   while (s->out_off < s->outbuf.size()) {
     const ssize_t n = ::send(s->fd, s->outbuf.data() + s->out_off,
                              s->outbuf.size() - s->out_off, MSG_NOSIGNAL);
@@ -342,81 +347,38 @@ void Server::OnWritable(Session* s) {
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      ArmWrite(s);
-      return;
+      Arm(s, Session::State::kWriting, EPOLLOUT);
+      return false;
     }
     Teardown(s);
-    return;
+    return false;
   }
   s->outbuf.clear();
   s->out_off = 0;
-  s->last_active = std::chrono::steady_clock::now();
-  // Pipelined requests may already be buffered; otherwise rearm for reads.
-  PumpInput(s);
-}
-
-void Server::DrainRearmQueue() {
-  std::deque<Session*> done;
-  {
-    std::lock_guard<std::mutex> lock(rearm_mu_);
-    done.swap(rearm_queue_);
-  }
-  for (Session* s : done) {
-    if (s->outbuf.empty()) {
-      // The worker flagged a protocol violation (malformed body inside a
-      // CRC-valid frame): no reply, drop the session.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      Teardown(s);
-      continue;
-    }
-    OnWritable(s);
-  }
+  s->last_active.store(std::chrono::steady_clock::now(),
+                       std::memory_order_relaxed);
+  return true;
 }
 
 void Server::SweepIdle() {
   if (options_.idle_timeout_ms == 0) return;
+  // One loop sweeps at a time; the others go straight back to epoll.
+  std::unique_lock<std::mutex> lock(sessions_mu_, std::try_to_lock);
+  if (!lock.owns_lock()) return;
   const auto now = std::chrono::steady_clock::now();
+  if (now < next_sweep_) return;
   const auto limit = std::chrono::milliseconds(options_.idle_timeout_ms);
-  std::vector<Session*> victims;
+  next_sweep_ = now + std::min(limit, std::chrono::milliseconds(100));
   for (auto& [fd, session] : sessions_) {
-    if (session->state == Session::State::kReading &&
-        now - session->last_active > limit) {
-      victims.push_back(session.get());
+    auto reading = Session::State::kReading;
+    if (now - session->last_active.load(std::memory_order_relaxed) > limit &&
+        session->state.compare_exchange_strong(reading,
+                                               Session::State::kClosing)) {
+      // The owner reads EOF and tears the session down on its own loop.
+      idle_drops_.fetch_add(1, std::memory_order_relaxed);
+      ::shutdown(fd, SHUT_RDWR);
     }
   }
-  for (Session* s : victims) {
-    idle_drops_.fetch_add(1, std::memory_order_relaxed);
-    Teardown(s);
-  }
-}
-
-void Server::WorkerLoop() {
-  while (true) {
-    Session* s;
-    {
-      std::unique_lock<std::mutex> lock(work_mu_);
-      work_cv_.wait(lock, [this] { return !work_queue_.empty(); });
-      s = work_queue_.front();
-      work_queue_.pop_front();
-    }
-    if (s == nullptr) return;  // Shutdown sentinel.
-    Execute(s);
-    {
-      std::lock_guard<std::mutex> lock(rearm_mu_);
-      rearm_queue_.push_back(s);
-    }
-    uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(event_fd_, &one, sizeof(one));
-  }
-}
-
-void Server::Execute(Session* s) {
-  const std::string reply = ExecutePayload(s, s->request);
-  s->request.clear();
-  // Empty reply = protocol violation; DrainRearmQueue tears the session
-  // down. Otherwise frame it for the epoll thread to write.
-  s->outbuf = reply.empty() ? std::string() : EncodeFrame(reply);
-  s->out_off = 0;
 }
 
 std::string Server::ExecutePayload(Session* s, const Slice& payload) {
@@ -623,7 +585,7 @@ std::string Server::HandleBegin(Session* s, Slice body) {
 
   // Gate 2 — session cap: reserve an open-transaction slot. Unlike the
   // backlog, an occupied slot has no deadline to drain on, so shed
-  // immediately rather than parking a worker.
+  // immediately rather than parking a loop.
   if (options_.max_sessions > 0) {
     uint64_t current = open_txns_.load(std::memory_order_relaxed);
     bool reserved = false;

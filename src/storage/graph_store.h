@@ -74,7 +74,7 @@ struct GraphStoreStats {
   uint64_t wal_segments_created = 0;    ///< Fresh segment files created.
   uint64_t wal_segments_deleted = 0;    ///< Dead segments unlinked outright.
   uint64_t wal_segments_recycled = 0;   ///< Dead segments parked for reuse.
-  uint64_t wal_segments_reused = 0;     ///< Pool segments re-entering chain.
+  uint64_t wal_segments_reused = 0;     ///< Segments taken out of the pool.
   uint64_t wal_segments_preallocated = 0;  ///< Rolls that adopted a prebuilt file.
   /// Commit I/O state: the flushed-LSN watermark acks wait on, and the
   /// sticky-failure flag (true after any WAL fsync/dir-sync error — every

@@ -371,8 +371,9 @@ Status Wal::AdoptPreparedLocked(Lsn base,
     segment_count_.store(segments_.size(), std::memory_order_release);
   }
   next_index_ = index + 1;
-  (prep->from_free_pool ? segments_reused_ : segments_created_)
-      .fetch_add(1, std::memory_order_relaxed);
+  if (!prep->from_free_pool) {
+    segments_created_.fetch_add(1, std::memory_order_relaxed);
+  }
   segments_preallocated_.fetch_add(1, std::memory_order_relaxed);
   NudgeFlusherPrep();
   return Status::OK();
@@ -1017,6 +1018,9 @@ void Wal::PrepareSegmentOffPath() {
       prep->name = free_pool_.front();
       free_pool_.pop_front();
       prep->from_free_pool = true;
+      // Counted as it leaves the pool, so recycled - reused stays the
+      // pool's occupancy while the prepared segment waits for a roll.
+      segments_reused_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   if (!prep->from_free_pool) prep->name = PrepName(prep_seq_++);
@@ -1030,7 +1034,10 @@ void Wal::PrepareSegmentOffPath() {
     // with a plain sparse file. Not a durability statement, so no poison.
     file.reset();
     std::lock_guard<std::mutex> guard(seg_mu_);
-    if (prep->from_free_pool) free_pool_.push_front(prep->name);
+    if (prep->from_free_pool) {
+      free_pool_.push_front(prep->name);
+      segments_reused_.fetch_sub(1, std::memory_order_relaxed);
+    }
     return;
   }
   s = file->Sync();

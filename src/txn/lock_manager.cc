@@ -17,6 +17,15 @@ bool LockManager::MustDie(TxnId txn, const LockState& state) {
   return false;
 }
 
+std::cv_status LockManager::Wait(
+    Shard& shard, std::unique_lock<std::mutex>& lock,
+    std::chrono::steady_clock::time_point deadline) {
+  waiting_.fetch_add(1, std::memory_order_relaxed);
+  const std::cv_status woke = shard.cv.wait_until(lock, deadline);
+  waiting_.fetch_sub(1, std::memory_order_relaxed);
+  return woke;
+}
+
 Status LockManager::AcquireShared(TxnId txn, const EntityKey& key) {
   Shard& shard = ShardFor(key);
   std::unique_lock<std::mutex> lock(shard.mu);
@@ -41,7 +50,7 @@ Status LockManager::AcquireShared(TxnId txn, const EntityKey& key) {
                               std::to_string(state.exclusive));
     }
     waited = true;
-    if (shard.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
+    if (Wait(shard, lock, deadline) == std::cv_status::timeout) {
       std::lock_guard<std::mutex> sg(stats_mu_);
       ++stats_.timeouts;
       return Status::Deadlock("lock timeout (shared) on " + key.ToString());
@@ -88,7 +97,7 @@ Status LockManager::AcquireExclusive(TxnId txn, const EntityKey& key,
                               key.ToString() + " held by older txn");
     }
     waited = true;
-    if (shard.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
+    if (Wait(shard, lock, deadline) == std::cv_status::timeout) {
       std::lock_guard<std::mutex> sg(stats_mu_);
       ++stats_.timeouts;
       return Status::Deadlock("lock timeout (exclusive) on " +
@@ -156,7 +165,9 @@ TxnId LockManager::ExclusiveHolder(const EntityKey& key) const {
 
 LockManagerStats LockManager::Stats() const {
   std::lock_guard<std::mutex> guard(stats_mu_);
-  return stats_;
+  LockManagerStats out = stats_;
+  out.waiting = waiting_.load(std::memory_order_relaxed);
+  return out;
 }
 
 }  // namespace neosi

@@ -16,6 +16,8 @@
 #ifndef NEOSI_TXN_LOCK_MANAGER_H_
 #define NEOSI_TXN_LOCK_MANAGER_H_
 
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -36,6 +38,7 @@ struct LockManagerStats {
   uint64_t nowait_conflicts = 0; ///< Immediate aborts (first-updater no-wait).
   uint64_t wait_die_aborts = 0;  ///< Younger waiter killed by wait-die.
   uint64_t timeouts = 0;         ///< Timeout backstop fired.
+  uint64_t waiting = 0;          ///< Gauge: acquisitions blocked right now.
 };
 
 /// Sharded table of per-entity reader/writer locks.
@@ -98,11 +101,17 @@ class LockManager {
   /// older, i.e. has a smaller txn id).
   static bool MustDie(TxnId txn, const LockState& state);
 
+  /// Blocks on the shard's condition variable, counted in the waiting
+  /// gauge while it sleeps.
+  std::cv_status Wait(Shard& shard, std::unique_lock<std::mutex>& lock,
+                      std::chrono::steady_clock::time_point deadline);
+
   mutable std::vector<Shard> shards_;
   const uint64_t timeout_ms_;
 
   mutable std::mutex stats_mu_;
   LockManagerStats stats_;
+  std::atomic<uint64_t> waiting_{0};
 };
 
 }  // namespace neosi

@@ -1,10 +1,10 @@
 // Wire-level SI/SSI conformance: the black-box history checkers from
 // si_checker.h, driven ENTIRELY through concurrent socket clients — every
 // begin, read, write, and commit crosses the wire protocol, so session
-// multiplexing, worker-pool handoff, and reply framing are all inside the
-// checked loop. Timestamps come from the Begin/Commit replies (the server
-// passes txn id, start_ts, and commit_ts through), which is exactly what a
-// remote checker could observe.
+// multiplexing, the hand-off of sessions between loops, and reply framing
+// are all inside the checked loop. Timestamps come from the Begin/Commit
+// replies (the server passes txn id, start_ts, and commit_ts through),
+// which is exactly what a remote checker could observe.
 //
 // Mixed-isolation DSG soundness note: the engine guarantees
 // serializability among kSerializable transactions ONLY (the PostgreSQL
