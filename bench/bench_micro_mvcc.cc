@@ -2,6 +2,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "mvcc/epoch.h"
 #include "mvcc/gc_list.h"
 #include "mvcc/version_chain.h"
 
@@ -9,7 +10,8 @@ namespace neosi {
 namespace {
 
 void BM_ChainInstallCommit(benchmark::State& state) {
-  VersionChain chain;
+  EpochManager epochs;
+  VersionChain chain(epochs);
   TxnId txn = 1;
   Timestamp ts = 1;
   for (auto _ : state) {
@@ -17,13 +19,17 @@ void BM_ChainInstallCommit(benchmark::State& state) {
     benchmark::DoNotOptimize(chain.CommitHead(txn, ts));
     ++txn;
     ++ts;
-    if (ts % 1024 == 0) chain.PruneSupersededUpTo(ts);  // Keep it bounded.
+    if (ts % 1024 == 0) {  // Keep it bounded.
+      chain.PruneSupersededUpTo(ts);
+      epochs.Drain();
+    }
   }
 }
 BENCHMARK(BM_ChainInstallCommit);
 
 void BM_VisibleHeadHit(benchmark::State& state) {
-  VersionChain chain;
+  EpochManager epochs;
+  VersionChain chain(epochs);
   for (Timestamp ts = 1; ts <= static_cast<Timestamp>(state.range(0)); ++ts) {
     (void)chain.InstallUncommitted(ts, VersionData{});
     (void)chain.CommitHead(ts, ts * 10);
@@ -36,7 +42,8 @@ void BM_VisibleHeadHit(benchmark::State& state) {
 BENCHMARK(BM_VisibleHeadHit)->Arg(1)->Arg(64)->Arg(1024);
 
 void BM_VisibleTailWalk(benchmark::State& state) {
-  VersionChain chain;
+  EpochManager epochs;
+  VersionChain chain(epochs);
   for (Timestamp ts = 1; ts <= static_cast<Timestamp>(state.range(0)); ++ts) {
     (void)chain.InstallUncommitted(ts, VersionData{});
     (void)chain.CommitHead(ts, ts * 10);
@@ -65,9 +72,11 @@ void BM_GcListAppendPop(benchmark::State& state) {
 BENCHMARK(BM_GcListAppendPop);
 
 void BM_PruneSuperseded(benchmark::State& state) {
+  EpochManager epochs;
   for (auto _ : state) {
     state.PauseTiming();
-    VersionChain chain;
+    epochs.Drain();  // Frees the previous iteration's pruned suffix.
+    VersionChain chain(epochs);
     for (Timestamp ts = 1; ts <= static_cast<Timestamp>(state.range(0));
          ++ts) {
       (void)chain.InstallUncommitted(ts, VersionData{});

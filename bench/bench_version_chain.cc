@@ -4,13 +4,8 @@
 //
 // One node accumulates V versions (GC disabled, a straggler snapshot pins
 // them). A fresh-snapshot reader finds its version at the head (O(1)); a
-// stale-snapshot reader walks the whole list (O(V)).
-//
-// Both read-path modes are measured side by side: "latched" takes the chain
-// SpinLatch per walk (the pre-epoch baseline, latch_free_reads=false);
-// "epoch" walks raw atomic links inside an epoch guard (the default). The
-// single-threaded latency contrast isolates the per-walk cost of the guard
-// (one CAS + fence) against the cost of the latch.
+// stale-snapshot reader walks the whole list (O(V)). Both walks follow raw
+// atomic links inside an epoch guard.
 
 #include "bench/bench_common.h"
 
@@ -25,12 +20,11 @@ struct Row {
   uint64_t chain_len = 0;
 };
 
-Row RunRow(uint64_t versions, uint64_t reads, bool latch_free) {
+Row RunRow(uint64_t versions, uint64_t reads) {
   DatabaseOptions options;
   options.in_memory = true;
   options.conflict_policy = ConflictPolicy::kFirstUpdaterWinsWait;
   options.background_gc_interval_ms = 0;  // garbage must stay put
-  options.latch_free_reads = latch_free;
   auto opened = GraphDatabase::Open(options);
   if (!opened.ok()) std::abort();
   auto db = std::move(*opened);
@@ -85,30 +79,22 @@ int main() {
   using namespace neosi;
   using namespace neosi::bench;
 
-  Banner("E6: read latency vs version-list length (latched vs epoch walks)",
+  Banner("E6: read latency vs version-list length",
          "snapshot reads walk the per-entity version list: head hits are "
          "O(1), reads of old snapshots pay O(list length) — which is why GC "
-         "matters (E8). The epoch columns replace the per-walk SpinLatch "
-         "with an epoch guard (latch-free traversal)");
+         "matters (E8)");
 
   const uint64_t reads = Scaled(20000);
-  std::printf("%-10s %10s %13s %13s %12s %12s\n", "versions", "chain-len",
-              "fresh-latch", "fresh-epoch", "stale-latch", "stale-epoch");
-  std::printf("%-10s %10s %13s %13s %12s %12s\n", "", "", "(ns)", "(ns)",
-              "(ns)", "(ns)");
+  std::printf("%-10s %10s %12s %12s\n", "versions", "chain-len", "fresh(ns)",
+              "stale(ns)");
   for (uint64_t v : {1, 4, 16, 64, 256, 1024}) {
-    const Row latched = RunRow(v, reads, /*latch_free=*/false);
-    const Row epoch = RunRow(v, reads, /*latch_free=*/true);
-    std::printf("%-10llu %10llu %13.0f %13.0f %12.0f %12.0f\n",
-                static_cast<unsigned long long>(latched.versions),
-                static_cast<unsigned long long>(latched.chain_len),
-                latched.fresh_ns, epoch.fresh_ns, latched.stale_ns,
-                epoch.stale_ns);
+    const Row row = RunRow(v, reads);
+    std::printf("%-10llu %10llu %12.0f %12.0f\n",
+                static_cast<unsigned long long>(row.versions),
+                static_cast<unsigned long long>(row.chain_len), row.fresh_ns,
+                row.stale_ns);
   }
   std::printf("\nexpected shape: fresh-read latency flat in V, stale-read "
-              "latency roughly linear in V, in BOTH modes; single-threaded "
-              "the two columns sit within noise of each other (the epoch "
-              "guard trades the latch for one CAS + fence) — the epoch "
-              "mode's payoff is multi-reader scaling, measured in E15.\n");
+              "latency roughly linear in V.\n");
   return 0;
 }

@@ -17,12 +17,10 @@
 
 namespace neosi {
 
-/// A node resident in the object cache. `epochs` non-null puts the chain
-/// in latch-free read mode (see VersionChain); the ObjectCache passes the
-/// engine's manager through.
+/// A node resident in the object cache. `epochs` is the engine's manager,
+/// handed through by the ObjectCache (see VersionChain).
 struct CachedNode {
-  explicit CachedNode(NodeId id, EpochManager* epochs = nullptr)
-      : id(id), chain(epochs) {}
+  CachedNode(NodeId id, EpochManager& epochs) : id(id), chain(epochs) {}
 
   const NodeId id;
   VersionChain chain;
@@ -31,7 +29,7 @@ struct CachedNode {
 /// A relationship resident in the object cache.
 struct CachedRel {
   CachedRel(RelId id, NodeId src, NodeId dst, RelTypeId type,
-            EpochManager* epochs = nullptr)
+            EpochManager& epochs)
       : id(id), src(src), dst(dst), type(type), chain(epochs) {}
 
   const RelId id;

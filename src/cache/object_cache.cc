@@ -5,7 +5,7 @@
 namespace neosi {
 
 ObjectCache::ObjectCache(GraphStore* store, size_t capacity,
-                         EpochManager* epochs)
+                         EpochManager& epochs)
     : store_(store),
       capacity_(capacity == 0 ? SIZE_MAX : capacity),
       epochs_(epochs) {}
@@ -16,8 +16,7 @@ Result<std::shared_ptr<CachedNode>> ObjectCache::GetNode(NodeId id) {
     ReadGuard guard(shard.latch);
     auto it = shard.map.find(id);
     if (it != shard.map.end()) {
-      std::lock_guard<SpinLatch> sg(stats_latch_);
-      ++stats_.node_hits;
+      node_hits_.fetch_add(1, std::memory_order_relaxed);
       return it->second;
     }
   }
@@ -29,8 +28,7 @@ Result<std::shared_ptr<CachedNode>> ObjectCache::GetNode(NodeId id) {
   NodeState state;
   Status s = store_->ReadNodeState(id, &state);
   if (s.IsOutOfRange() || (s.ok() && !state.in_use)) {
-    std::lock_guard<SpinLatch> sg(stats_latch_);
-    ++stats_.node_misses;
+    node_misses_.fetch_add(1, std::memory_order_relaxed);
     return Status::NotFound("node " + std::to_string(id) + " does not exist");
   }
   NEOSI_RETURN_IF_ERROR(s);
@@ -47,11 +45,8 @@ Result<std::shared_ptr<CachedNode>> ObjectCache::GetNode(NodeId id) {
   if (!superseded.ok()) return superseded.status();
 
   shard.map[id] = node;
-  {
-    std::lock_guard<SpinLatch> sg(stats_latch_);
-    ++stats_.node_misses;
-    ++stats_.loads;
-  }
+  node_misses_.fetch_add(1, std::memory_order_relaxed);
+  loads_.fetch_add(1, std::memory_order_relaxed);
   return node;
 }
 
@@ -61,8 +56,7 @@ Result<std::shared_ptr<CachedRel>> ObjectCache::GetRel(RelId id) {
     ReadGuard guard(shard.latch);
     auto it = shard.map.find(id);
     if (it != shard.map.end()) {
-      std::lock_guard<SpinLatch> sg(stats_latch_);
-      ++stats_.rel_hits;
+      rel_hits_.fetch_add(1, std::memory_order_relaxed);
       return it->second;
     }
   }
@@ -73,8 +67,7 @@ Result<std::shared_ptr<CachedRel>> ObjectCache::GetRel(RelId id) {
   RelState state;
   Status s = store_->ReadRelState(id, &state);
   if (s.IsOutOfRange() || (s.ok() && !state.in_use)) {
-    std::lock_guard<SpinLatch> sg(stats_latch_);
-    ++stats_.rel_misses;
+    rel_misses_.fetch_add(1, std::memory_order_relaxed);
     return Status::NotFound("relationship " + std::to_string(id) +
                             " does not exist");
   }
@@ -91,11 +84,8 @@ Result<std::shared_ptr<CachedRel>> ObjectCache::GetRel(RelId id) {
   if (!superseded.ok()) return superseded.status();
 
   shard.map[id] = rel;
-  {
-    std::lock_guard<SpinLatch> sg(stats_latch_);
-    ++stats_.rel_misses;
-    ++stats_.loads;
-  }
+  rel_misses_.fetch_add(1, std::memory_order_relaxed);
+  loads_.fetch_add(1, std::memory_order_relaxed);
   return rel;
 }
 
@@ -205,8 +195,7 @@ size_t ObjectCache::EvictIfNeeded() {
       }
     }
   }
-  std::lock_guard<SpinLatch> sg(stats_latch_);
-  stats_.evictions += evicted;
+  evictions_.fetch_add(evicted, std::memory_order_relaxed);
   return evicted;
 }
 
@@ -251,14 +240,12 @@ size_t ObjectCache::ResidentCount() const {
 
 ObjectCacheStats ObjectCache::Stats() const {
   ObjectCacheStats out;
-  {
-    std::lock_guard<SpinLatch> sg(stats_latch_);
-    out = stats_;
-  }
-  out.resident_nodes = 0;
-  out.resident_rels = 0;
-  out.resident_versions = 0;
-  out.approx_bytes = 0;
+  out.node_hits = node_hits_.load(std::memory_order_relaxed);
+  out.node_misses = node_misses_.load(std::memory_order_relaxed);
+  out.rel_hits = rel_hits_.load(std::memory_order_relaxed);
+  out.rel_misses = rel_misses_.load(std::memory_order_relaxed);
+  out.loads = loads_.load(std::memory_order_relaxed);
+  out.evictions = evictions_.load(std::memory_order_relaxed);
   // Footprint walks go through the chain (its own latch): a raw
   // head/older walk here would race GC unlinks.
   ForEachNode([&](const std::shared_ptr<CachedNode>& node) {

@@ -11,6 +11,7 @@
 #define NEOSI_CACHE_OBJECT_CACHE_H_
 
 #include <array>
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -41,11 +42,9 @@ struct ObjectCacheStats {
 /// Sharded id -> cached-object maps for nodes and relationships.
 class ObjectCache {
  public:
-  /// `epochs` non-null wires every cached entity's version chain into the
-  /// latch-free read mode (DatabaseOptions::latch_free_reads); null keeps
-  /// the latched baseline.
-  ObjectCache(GraphStore* store, size_t capacity,
-              EpochManager* epochs = nullptr);
+  /// Every cached entity's version chain walks under, and retires into,
+  /// `epochs`, which must outlive the cache.
+  ObjectCache(GraphStore* store, size_t capacity, EpochManager& epochs);
 
   ObjectCache(const ObjectCache&) = delete;
   ObjectCache& operator=(const ObjectCache&) = delete;
@@ -99,13 +98,20 @@ class ObjectCache {
 
   GraphStore* const store_;
   const size_t capacity_;
-  EpochManager* const epochs_;
+  EpochManager& epochs_;
 
   mutable std::array<NodeShard, kShards> node_shards_;
   mutable std::array<RelShard, kShards> rel_shards_;
 
-  mutable SpinLatch stats_latch_;
-  mutable ObjectCacheStats stats_;
+  /// Relaxed counters bumped on every lookup: a shared latch here would
+  /// serialize every reader. Stats() loads each separately, so the set is
+  /// not one atomic snapshot.
+  std::atomic<uint64_t> node_hits_{0};
+  std::atomic<uint64_t> node_misses_{0};
+  std::atomic<uint64_t> rel_hits_{0};
+  std::atomic<uint64_t> rel_misses_{0};
+  std::atomic<uint64_t> loads_{0};
+  std::atomic<uint64_t> evictions_{0};
 };
 
 }  // namespace neosi

@@ -7,7 +7,7 @@
 //   GcDaemon          sharded version reclamation  (background_gc_interval_ms,
 //                     gc_backlog_threshold, gc_shards, snapshot_max_age_ms,
 //                     snapshot_expire_backlog) + epoch limbo drains
-//                     (latch_free_reads, epoch_slots)
+//                     (epoch_slots)
 //   CheckpointDaemon  WAL bounding                 (checkpoint_interval_ms,
 //                     checkpoint_wal_threshold, wal_segment_size,
 //                     wal_recycle_segments)
@@ -126,21 +126,10 @@ struct DatabaseOptions {
 
   // --- read path (epoch-based reclamation) ---------------------------------
 
-  /// When true (the DEFAULT), committed-read chain walks are LATCH-FREE:
-  /// readers traverse raw atomic version links under an epoch guard
-  /// (src/mvcc/epoch.h) and GC unlinks retire versions into an epoch limbo
-  /// list that the GC daemon drains once no reader can reach them. False
-  /// restores the fully latched read path (SpinLatch per chain walk,
-  /// immediate frees) — the pre-epoch behaviour, kept as the comparison
-  /// baseline for the E15 bench. Consumed once at Open() when the object
-  /// cache is wired.
-  bool latch_free_reads = true;
-
   /// Epoch slot-array size, in SLOTS — the number of readers that can be
-  /// simultaneously inside a latch-free chain walk (excess readers
-  /// spin-probe until a slot frees). Default: 0 = AUTO
-  /// (max(64, 4 * hardware_concurrency)). Ignored when latch_free_reads is
-  /// false.
+  /// simultaneously inside a latch-free chain walk (src/mvcc/epoch.h;
+  /// excess readers spin-probe until a slot frees). Default: 0 = AUTO
+  /// (max(64, 4 * hardware_concurrency)).
   size_t epoch_slots = 0;
 
   /// Shard count of the active-transaction table (Begin()'s registration

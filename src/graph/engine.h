@@ -93,9 +93,8 @@ struct Engine {
   /// Entity-key-sharded reclamation queue (opts.gc_shards shards, auto =
   /// core count); each shard is drained by its own GcDaemon worker.
   ShardedGcList gc_list;
-  /// Epoch-based-reclamation domain for the latch-free read path. Always
-  /// constructed; wired into the cache's version chains only when
-  /// opts.latch_free_reads is set. The GC daemon bumps + drains it once
+  /// Epoch-based-reclamation domain for the latch-free read path, wired
+  /// into every cached version chain. The GC daemon bumps + drains it once
   /// per cycle.
   EpochManager epochs;
   /// SIREAD markers + rw-antidependency edges for kSerializable

@@ -59,8 +59,7 @@ struct DatabaseStats {
   uint64_t snapshots_expired_age = 0;      ///< Victims of snapshot_max_age_ms.
   uint64_t snapshots_expired_backlog = 0;  ///< Victims of backlog pressure.
   uint64_t snapshot_too_old_aborts = 0;    ///< Ops failed with SnapshotTooOld.
-  /// Epoch-based reclamation (latch-free read path) gauges. All zero when
-  /// latch_free_reads is off (nothing is ever retired into limbo then).
+  /// Epoch-based reclamation (latch-free read path) gauges.
   uint64_t epoch_current = 0;        ///< Global epoch counter.
   uint64_t epoch_limbo = 0;          ///< Versions awaiting an epoch drain.
   uint64_t epoch_retired = 0;        ///< Lifetime retire count.

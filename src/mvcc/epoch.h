@@ -61,20 +61,17 @@ class EpochManager {
   EpochManager(const EpochManager&) = delete;
   EpochManager& operator=(const EpochManager&) = delete;
 
-  /// RAII epoch entry. Constructing with a null manager is a no-op (the
-  /// latched-baseline configuration uses the same call sites).
+  /// RAII epoch entry.
   class Guard {
    public:
-    explicit Guard(EpochManager* manager)
-        : manager_(manager), slot_(manager ? manager->Enter() : 0) {}
-    ~Guard() {
-      if (manager_) manager_->Exit(slot_);
-    }
+    explicit Guard(EpochManager& manager)
+        : manager_(manager), slot_(manager.Enter()) {}
+    ~Guard() { manager_.Exit(slot_); }
     Guard(const Guard&) = delete;
     Guard& operator=(const Guard&) = delete;
 
    private:
-    EpochManager* const manager_;
+    EpochManager& manager_;
     const size_t slot_;
   };
 

@@ -7,7 +7,7 @@ namespace neosi {
 VersionChain::~VersionChain() {
   // Unwind the chain iteratively; a long shared_ptr chain would otherwise
   // destruct recursively and can overflow the stack (E6 builds 1k+ chains).
-  // No retire needed even in epoch mode: anyone who can still walk this
+  // No retire needed: anyone who can still walk this
   // chain holds the owning CachedNode/CachedRel alive, so reaching the
   // destructor means no reader can.
   std::shared_ptr<Version> cur = std::move(head_);
@@ -67,23 +67,12 @@ void VersionChain::AbortHead(TxnId writer) {
     head_raw_.store(head_.get(), std::memory_order_release);
     // victim->older / older_raw stay intact: a latch-free reader standing
     // on the aborted head keeps walking into the surviving chain.
-    if (epochs_) epochs_->Retire(std::move(victim));
+    epochs_.Retire(std::move(victim));
   }
 }
 
 std::shared_ptr<const Version> VersionChain::Visible(Timestamp start_ts,
                                                      TxnId self) const {
-  if (epochs_ == nullptr) {
-    std::lock_guard<SpinLatch> guard(latch_);
-    for (std::shared_ptr<Version> v = head_; v; v = v->older) {
-      if (!v->committed()) {
-        if (self != kNoTxn && v->writer == self) return v;  // Own write.
-        continue;  // Private to another transaction.
-      }
-      if (v->commit_ts.load(std::memory_order_relaxed) <= start_ts) return v;
-    }
-    return nullptr;
-  }
   // Latch-free walk: raw atomic links under an epoch guard. Every version
   // reachable here is kept alive by its chain predecessor or by the epoch
   // limbo, so promoting the raw pointer back to an owning one is safe.
@@ -108,13 +97,6 @@ std::shared_ptr<const Version> VersionChain::Visible(Timestamp start_ts,
 }
 
 std::shared_ptr<const Version> VersionChain::LatestCommitted() const {
-  if (epochs_ == nullptr) {
-    std::lock_guard<SpinLatch> guard(latch_);
-    for (std::shared_ptr<Version> v = head_; v; v = v->older) {
-      if (v->committed()) return v;
-    }
-    return nullptr;
-  }
   EpochManager::Guard guard(epochs_);
   const Version* older = nullptr;
   for (const Version* v = head_raw_.load(std::memory_order_acquire); v;
@@ -136,13 +118,6 @@ bool VersionChain::HasUncommitted() const {
 }
 
 Timestamp VersionChain::NewestCommitTs() const {
-  if (epochs_ == nullptr) {
-    std::lock_guard<SpinLatch> guard(latch_);
-    for (std::shared_ptr<Version> v = head_; v; v = v->older) {
-      if (v->committed()) return v->commit_ts.load(std::memory_order_relaxed);
-    }
-    return kNoTimestamp;
-  }
   EpochManager::Guard guard(epochs_);
   const Version* older = nullptr;
   for (const Version* v = head_raw_.load(std::memory_order_acquire); v;
@@ -156,16 +131,6 @@ Timestamp VersionChain::NewestCommitTs() const {
 
 void VersionChain::CommittedNewerThan(
     Timestamp start_ts, std::vector<std::pair<TxnId, Timestamp>>* out) const {
-  if (epochs_ == nullptr) {
-    std::lock_guard<SpinLatch> guard(latch_);
-    for (std::shared_ptr<Version> v = head_; v; v = v->older) {
-      if (!v->committed()) continue;  // Private to an in-flight writer.
-      const Timestamp ts = v->commit_ts.load(std::memory_order_relaxed);
-      if (ts <= start_ts) break;  // Newest-first: everything older is too.
-      out->emplace_back(v->writer, ts);
-    }
-    return;
-  }
   EpochManager::Guard guard(epochs_);
   const Version* older = nullptr;
   for (const Version* v = head_raw_.load(std::memory_order_acquire); v;
@@ -188,7 +153,7 @@ bool VersionChain::Remove(const std::shared_ptr<Version>& target) {
     // through the splice, and the limbo push (under limbo_mu_) must
     // happen-after every access to target's fields above so the drainer's
     // FreeRetired — which mutates target->older — is ordered after them.
-    if (epochs_) epochs_->Retire(target);
+    epochs_.Retire(target);
     return true;
   }
   for (std::shared_ptr<Version> v = head_; v->older; v = v->older) {
@@ -200,7 +165,7 @@ bool VersionChain::Remove(const std::shared_ptr<Version>& target) {
       // `target` reference keeps the version alive meanwhile.
       v->older = target->older;
       v->older_raw.store(target->older.get(), std::memory_order_release);
-      if (epochs_) epochs_->Retire(target);
+      epochs_.Retire(target);
       return true;
     }
   }
@@ -234,7 +199,7 @@ size_t VersionChain::PruneSupersededUpTo(Timestamp watermark) {
   // is ordered after them.
   std::shared_ptr<Version> suffix = std::move(keep->older);
   keep->older_raw.store(nullptr, std::memory_order_release);
-  if (epochs_) epochs_->Retire(std::move(suffix));
+  epochs_.Retire(std::move(suffix));
   return dropped;
 }
 

@@ -169,17 +169,6 @@ Status GraphStore::Open() {
   return wal_->Open();
 }
 
-Status GraphStore::SyncAll() {
-  NEOSI_RETURN_IF_ERROR(nodes_->Sync());
-  NEOSI_RETURN_IF_ERROR(rels_->Sync());
-  NEOSI_RETURN_IF_ERROR(props_->Sync());
-  NEOSI_RETURN_IF_ERROR(label_dyn_->Sync());
-  NEOSI_RETURN_IF_ERROR(label_tokens_->Sync());
-  NEOSI_RETURN_IF_ERROR(prop_key_tokens_->Sync());
-  NEOSI_RETURN_IF_ERROR(rel_type_tokens_->Sync());
-  return Status::OK();
-}
-
 Status GraphStore::SyncDirty(uint64_t* synced, uint64_t* skipped) {
   uint64_t did = 0, skip = 0;
   auto tally = [&](Result<bool> r) -> Status {
@@ -727,8 +716,7 @@ Status GraphStore::ApplyWalOp(const WalOp& op, Timestamp commit_ts) {
           store = rel_type_tokens_.get();
           break;
       }
-      auto r = store->GetOrCreate(op.name, commit_ts);
-      return r.ok() ? Status::OK() : r.status();
+      return store->CreateAt(op.id, op.name, commit_ts);
     }
 
     case WalOpType::kCreateNode: {
@@ -1109,20 +1097,6 @@ Status GraphStore::Checkpoint() {
                                         std::memory_order_relaxed);
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
-}
-
-Status GraphStore::CheckpointStopTheWorld() {
-  std::lock_guard<std::mutex> guard(checkpoint_mu_);
-  // Gate EVERY new append (commits stall at their WAL write), drain every
-  // in-flight commit, then fsync all stores and reset the log — the full
-  // write-stall the fuzzy path exists to avoid.
-  wal_->BlockAppends();
-  wal_->WaitPinsDrained();
-  Status s = SyncAll();
-  if (s.ok()) s = wal_->Reset();
-  wal_->UnblockAppends();
-  if (s.ok()) checkpoints_.fetch_add(1, std::memory_order_relaxed);
-  return s;
 }
 
 GraphStoreStats GraphStore::Stats() const {

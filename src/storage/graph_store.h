@@ -124,9 +124,6 @@ class GraphStore {
   /// crash-left LOCK file is reclaimed by the next opener automatically.
   Status Open();
 
-  /// fsyncs every store file unconditionally.
-  Status SyncAll();
-
   /// fsyncs only the store files dirtied since the last checkpoint
   /// (incremental half of the fuzzy checkpoint).
   Status SyncDirty(uint64_t* synced, uint64_t* skipped);
@@ -243,12 +240,6 @@ class GraphStore {
   /// Commit traffic proceeds concurrently through all four steps.
   Status Checkpoint();
 
-  /// The retired stop-the-world checkpoint (gate all appends, drain every
-  /// in-flight commit, fsync every store, reset the log). Kept ONLY as the
-  /// E12 bench baseline — quantifies the commit-latency spike the fuzzy
-  /// path removes.
-  Status CheckpointStopTheWorld();
-
   /// Checkpoint crash/stall injection (tests only).
   CheckpointTestHooks checkpoint_hooks;
 
@@ -306,8 +297,7 @@ class GraphStore {
   std::atomic<uint64_t> checkpoint_bytes_truncated_{0};
   std::atomic<uint64_t> checkpoint_stores_synced_{0};
   std::atomic<uint64_t> checkpoint_stores_skipped_{0};
-  /// Serializes checkpoints (fuzzy or legacy) against each other — never
-  /// against commits.
+  /// Serializes checkpoints against each other — never against commits.
   std::mutex checkpoint_mu_;
 
   /// True while Recover() replays the WAL (single-threaded, before any

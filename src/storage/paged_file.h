@@ -33,10 +33,6 @@ class PagedFile {
   /// Flushes to stable storage (no-op for the in-memory backend).
   virtual Status Sync() = 0;
 
-  /// Underlying POSIX descriptor for io_uring submission; -1 for backends
-  /// without one (the caller then uses Sync()).
-  virtual int RawFd() const { return -1; }
-
   /// Reserves physical storage for the first `size` bytes WITHOUT changing
   /// the file size (fallocate KEEP_SIZE where supported), so later writes
   /// into the range cannot fail with ENOSPC and extend cheaply. Advisory:
@@ -130,8 +126,6 @@ class PosixFile final : public PagedFile {
   /// fallocate(PUNCH_HOLE) where the platform/filesystem supports it;
   /// silently a no-op otherwise.
   Status PunchHole(uint64_t offset, uint64_t n) override;
-
-  int RawFd() const override { return fd_; }
 
  private:
   explicit PosixFile(int fd, std::string path)

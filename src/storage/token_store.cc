@@ -27,8 +27,9 @@ Status TokenStore::Open() {
   });
 }
 
-Result<uint32_t> TokenStore::GetOrCreate(const std::string& name,
-                                         Timestamp created_ts) {
+namespace {
+
+Status ValidateName(const std::string& name) {
   if (name.empty()) {
     return Status::InvalidArgument("token name must be non-empty");
   }
@@ -37,6 +38,14 @@ Result<uint32_t> TokenStore::GetOrCreate(const std::string& name,
                                    std::to_string(TokenRecord::kMaxNameLen) +
                                    " bytes): " + name);
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<uint32_t> TokenStore::GetOrCreate(const std::string& name,
+                                         Timestamp created_ts) {
+  NEOSI_RETURN_IF_ERROR(ValidateName(name));
   {
     ReadGuard guard(latch_);
     auto it = by_name_.find(name);
@@ -48,8 +57,35 @@ Result<uint32_t> TokenStore::GetOrCreate(const std::string& name,
 
   auto alloc = store_.Allocate();
   if (!alloc.ok()) return alloc.status();
-  const uint64_t id = *alloc;
+  NEOSI_RETURN_IF_ERROR(WriteTokenLocked(*alloc, name, created_ts));
+  return static_cast<uint32_t>(*alloc);
+}
 
+Status TokenStore::CreateAt(uint64_t id, const std::string& name,
+                            Timestamp created_ts) {
+  NEOSI_RETURN_IF_ERROR(ValidateName(name));
+  if (id >= kInvalidToken) {
+    return Status::Corruption("token id out of range: " + std::to_string(id));
+  }
+  WriteGuard guard(latch_);
+  if (id < by_id_.size() && by_id_[id].id != kInvalidToken) {
+    if (by_id_[id].name == name) return Status::OK();  // Already replayed.
+    return Status::Corruption("token id " + std::to_string(id) +
+                              " holds " + by_id_[id].name + ", log says " +
+                              name);
+  }
+  auto it = by_name_.find(name);
+  if (it != by_name_.end()) {
+    return Status::Corruption("token " + name + " holds id " +
+                              std::to_string(it->second) + ", log says " +
+                              std::to_string(id));
+  }
+  NEOSI_RETURN_IF_ERROR(store_.EnsureAllocated(id));
+  return WriteTokenLocked(id, name, created_ts);
+}
+
+Status TokenStore::WriteTokenLocked(uint64_t id, const std::string& name,
+                                    Timestamp created_ts) {
   TokenRecord rec;
   rec.in_use = true;
   rec.created_ts = created_ts;
@@ -65,7 +101,7 @@ Result<uint32_t> TokenStore::GetOrCreate(const std::string& name,
   token.created_ts = created_ts;
   by_id_[id] = token;
   by_name_[name] = token.id;
-  return token.id;
+  return Status::OK();
 }
 
 Result<uint32_t> TokenStore::Lookup(const std::string& name,

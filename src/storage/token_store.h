@@ -28,8 +28,10 @@ struct Token {
   Timestamp created_ts = kNoTimestamp;
 };
 
-/// Thread-safe persistent token registry. Token ids are dense (0..n-1) and
-/// never reused; tokens are never deleted.
+/// Thread-safe persistent token registry; tokens are never deleted. The
+/// primary allocates ids densely. A replayed copy may hold holes where an id
+/// went to a transaction that never committed, and a recovered primary may
+/// hand such a hole to a new token.
 class TokenStore {
  public:
   TokenStore(std::unique_ptr<PagedFile> file, std::string name);
@@ -41,6 +43,13 @@ class TokenStore {
   /// does not exist yet. Creation is immediately persisted (tokens are not
   /// transactional in Neo4j and are never rolled back).
   Result<uint32_t> GetOrCreate(const std::string& name, Timestamp created_ts);
+
+  /// WAL replay: writes token `name` at the logged `id`, leaving any lower
+  /// unused ids as holes (a replica or a recovered copy must resolve every
+  /// logged id exactly as the primary did, whatever the commit order). A
+  /// no-op when `name` already holds `id`; Corruption when a different name
+  /// holds `id` or `name` holds a different id.
+  Status CreateAt(uint64_t id, const std::string& name, Timestamp created_ts);
 
   /// Id lookup with snapshot visibility: NotFound if the token is absent OR
   /// was created after `snapshot_ts` (the reader must discard it, §4).
@@ -64,6 +73,10 @@ class TokenStore {
   Result<bool> SyncIfDirty() { return store_.SyncIfDirty(); }
 
  private:
+  /// Persists `name` at `id` and indexes it. Caller holds latch_ for write.
+  Status WriteTokenLocked(uint64_t id, const std::string& name,
+                          Timestamp created_ts);
+
   RecordStore store_;
   mutable SharedLatch latch_;
   std::unordered_map<std::string, uint32_t> by_name_;

@@ -2,21 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "common/coding.h"
-
-// io_uring slot for the flusher's fsync: opt-in at configure time
-// (-DNEOSI_IO_URING=ON) and compiled only where liburing is actually
-// installed — the worker-thread fsync below is the portable path.
-#if defined(NEOSI_HAVE_IO_URING)
-#if __has_include(<liburing.h>)
-#include <liburing.h>
-#else
-#undef NEOSI_HAVE_IO_URING
-#endif
-#endif
 
 namespace neosi {
 
@@ -24,55 +12,11 @@ namespace {
 
 constexpr size_t kFrameHeader = 8;  // u32 length + u32 crc
 
-/// fsyncs `file` on behalf of a flush pass: through a per-thread io_uring
-/// when built with support and the backend exposes a descriptor, plain
-/// PagedFile::Sync() otherwise.
-Status SyncForFlush(PagedFile* file) {
-#if defined(NEOSI_HAVE_IO_URING)
-  const int fd = file->RawFd();
-  if (fd >= 0) {
-    thread_local struct io_uring ring;
-    thread_local int ring_state = 0;  // 0 = uninit, 1 = ok, -1 = unavailable
-    if (ring_state == 0) {
-      ring_state = io_uring_queue_init(8, &ring, 0) == 0 ? 1 : -1;
-    }
-    if (ring_state == 1) {
-      struct io_uring_sqe* sqe = io_uring_get_sqe(&ring);
-      if (sqe != nullptr) {
-        io_uring_prep_fsync(sqe, fd, 0);
-        if (io_uring_submit(&ring) == 1) {
-          struct io_uring_cqe* cqe = nullptr;
-          if (io_uring_wait_cqe(&ring, &cqe) == 0) {
-            const int res = cqe->res;
-            io_uring_cqe_seen(&ring, cqe);
-            if (res < 0) {
-              return Status::IOError(std::string("io_uring fsync: ") +
-                                     std::strerror(-res));
-            }
-            return Status::OK();
-          }
-        }
-      }
-    }
-  }
-#endif
-  return file->Sync();
-}
-
 // Segment header byte layout: magic(4) version(4) base(8) epoch(8) crc(4),
 // zero-padded to Wal::kSegmentHeaderSize. "NWS1".
 constexpr uint32_t kSegmentMagic = 0x3153574e;
 constexpr uint32_t kSegmentVersion = 1;
 constexpr size_t kSegmentCrcOffset = 24;
-
-// Pre-segmentation single-file log ("NWL2"): dual 32-byte header slots
-// [magic u32][version u32][head u64][base u64][seq u32][crc u32], frames
-// from byte 64. Headerless (v1) files have frames from byte 0.
-constexpr uint32_t kLegacyMagic = 0x324c574e;
-constexpr uint32_t kLegacyVersion = 2;
-constexpr uint64_t kLegacySlotSize = 32;
-constexpr uint64_t kLegacyHeaderSize = 64;
-constexpr size_t kLegacyCrcOffset = 28;
 
 std::string IndexedName(const char* prefix, uint64_t index) {
   char buf[64];
@@ -85,8 +29,8 @@ std::string IndexedName(const char* prefix, uint64_t index) {
 /// frame whose length and checksum hold, invokes `fn(frame_offset,
 /// payload)`; stops at the first invalid frame (torn tail). Returns the
 /// offset one past the last valid frame. The single definition of what "a
-/// valid frame prefix" means — Open's cursor scan, replay, and the legacy
-/// migration all walk through here.
+/// valid frame prefix" means — Open's cursor scan and replay both walk
+/// through here.
 Result<uint64_t> WalkFrames(
     PagedFile* file, uint64_t offset, uint64_t size,
     const std::function<Status(uint64_t, const Slice&)>& fn) {
@@ -391,91 +335,6 @@ Status Wal::SyncRetiringLocked(Segment* retiring) {
   return s;
 }
 
-Status Wal::MigrateLegacyLog() {
-  std::unique_ptr<PagedFile> legacy;
-  NEOSI_RETURN_IF_ERROR(dir_->Open(kLegacyName, &legacy));
-  const uint64_t size = legacy->Size();
-
-  Lsn head = 0, base = 0;
-  uint64_t frames_at = 0;
-  char slots[kLegacyHeaderSize] = {};
-  if (size > 0) {
-    NEOSI_RETURN_IF_ERROR(legacy->ReadAt(
-        0, std::min<uint64_t>(size, kLegacyHeaderSize), slots));
-  }
-  bool any_magic = false, found = false;
-  uint32_t best_seq = 0;
-  for (int i = 0; i < 2; ++i) {
-    const char* slot = slots + i * kLegacySlotSize;
-    if (DecodeFixed32(slot) != kLegacyMagic) continue;
-    any_magic = true;
-    if (DecodeFixed32(slot + kLegacyCrcOffset) !=
-        Crc32c(slot, kLegacyCrcOffset)) {
-      continue;
-    }
-    if (DecodeFixed32(slot + 4) != kLegacyVersion) {
-      return Status::Corruption("legacy wal header: unsupported version");
-    }
-    const uint32_t seq = DecodeFixed32(slot + 24);
-    if (!found || seq > best_seq) {
-      found = true;
-      best_seq = seq;
-      head = DecodeFixed64(slot + 8);
-      base = DecodeFixed64(slot + 16);
-    }
-  }
-  if (found) {
-    if (head < base) {
-      return Status::Corruption("legacy wal header: head < base");
-    }
-    frames_at = kLegacyHeaderSize + (head - base);
-  } else if (any_magic) {
-    if (size > kLegacyHeaderSize) {
-      return Status::Corruption("legacy wal header: both slots unreadable");
-    }
-    // Crash during the very first header write of a fresh legacy log: no
-    // frames exist.
-    head = 0;
-    frames_at = size;  // Nothing to walk.
-  }
-  // else: headerless v1 file, frames from byte 0 with head = 0.
-
-  // Anchor the fresh chain at the legacy head so lsns are preserved —
-  // checkpoint markers inside the copied records keep meaning the same
-  // byte positions.
-  NEOSI_RETURN_IF_ERROR(AddSegmentLocked(head));
-  head_lsn_.store(head, std::memory_order_relaxed);
-  next_lsn_.store(head, std::memory_order_relaxed);
-
-  // Copy the valid frame prefix, re-framed into segments (rolling at the
-  // size threshold). Stops at a torn tail exactly like replay would.
-  std::string frame;
-  auto copied = WalkFrames(
-      legacy.get(), frames_at, size,
-      [&](uint64_t, const Slice& payload) {
-        frame.clear();
-        PutFixed32(&frame, static_cast<uint32_t>(payload.size()));
-        PutFixed32(&frame, Crc32c(payload.data(), payload.size()));
-        frame.append(payload.data(), payload.size());
-        const Lsn lsn = next_lsn_.load(std::memory_order_relaxed);
-        NEOSI_RETURN_IF_ERROR(
-            WriteFrameAtLocked(lsn, frame.data(), frame.size()));
-        next_lsn_.store(lsn + frame.size(), std::memory_order_relaxed);
-        return Status::OK();
-      });
-  if (!copied.ok()) return copied.status();
-
-  // Durability order: the copied chain reaches stable storage before the
-  // legacy file disappears. A crash before the Remove leaves wal.log in
-  // place and the next Open redoes the whole migration from scratch.
-  Segment* active = active_.load(std::memory_order_relaxed);
-  NEOSI_RETURN_IF_ERROR(active->file->Sync());
-  NEOSI_RETURN_IF_ERROR(dir_->SyncDir());
-  legacy.reset();
-  NEOSI_RETURN_IF_ERROR(dir_->Remove(kLegacyName));
-  return dir_->SyncDir();
-}
-
 Status Wal::Open() {
   NEOSI_RETURN_IF_ERROR(OpenChain());
   // Everything recovery kept was read back from the files themselves, so
@@ -492,15 +351,20 @@ Status Wal::OpenChain() {
   std::vector<std::string> names;
   NEOSI_RETURN_IF_ERROR(dir_->List(&names));
 
-  bool legacy = false;
+  // A pre-segment single-file log is refused before anything in the
+  // directory is removed or adopted, so the file is left as it was.
+  if (std::find(names.begin(), names.end(), kLegacyName) != names.end()) {
+    return Status::NotSupported(std::string("wal: ") + kLegacyName +
+                                " is a pre-segment single-file log, which "
+                                "this version cannot read");
+  }
+
   std::vector<std::pair<uint64_t, std::string>> chain_names;
   std::vector<std::pair<uint64_t, std::string>> free_names;
   std::vector<std::string> prep_names;
   for (const std::string& name : names) {
     uint64_t index = 0;
-    if (name == kLegacyName) {
-      legacy = true;
-    } else if (ParseIndexed(name, "wal.free.", &index)) {
+    if (ParseIndexed(name, "wal.free.", &index)) {
       free_names.emplace_back(index, name);
     } else if (ParseIndexed(name, "wal.prep.", &index)) {
       prep_names.push_back(name);
@@ -538,16 +402,6 @@ Status Wal::OpenChain() {
     } else {
       NEOSI_RETURN_IF_ERROR(dir_->Remove(name));
     }
-  }
-
-  if (legacy) {
-    // Any segments next to a surviving wal.log are partial-migration
-    // leftovers (the legacy file is removed only after the copied chain is
-    // durable): drop them and restart the migration from scratch.
-    for (const auto& [index, name] : chain_names) {
-      NEOSI_RETURN_IF_ERROR(dir_->Remove(name));
-    }
-    return MigrateLegacyLog();
   }
 
   for (size_t i = 0; i < chain_names.size(); ++i) {
@@ -630,51 +484,6 @@ Status Wal::OpenChain() {
   return Status::OK();
 }
 
-void Wal::AwaitAppendGate() {
-  if (!gate_closed_.load(std::memory_order_acquire)) return;
-  std::unique_lock<std::mutex> lock(gate_mu_);
-  gate_cv_.wait(lock, [this] {
-    return !gate_closed_.load(std::memory_order_acquire);
-  });
-}
-
-void Wal::LockAppendLatch() {
-  // The gate must be re-validated UNDER the latch: an appender that passed
-  // the gate check, got descheduled, and acquired the latch only after
-  // BlockAppends' barrier had already swept it would otherwise append (and
-  // pin) into a log the legacy checkpoint is about to Reset().
-  for (;;) {
-    AwaitAppendGate();
-    latch_.lock();
-    if (!gate_closed_.load(std::memory_order_acquire)) return;
-    latch_.unlock();
-  }
-}
-
-void Wal::BlockAppends() {
-  {
-    std::lock_guard<std::mutex> guard(gate_mu_);
-    gate_closed_.store(true, std::memory_order_release);
-  }
-  // Barrier: any appender that passed the gate before it closed has either
-  // finished its latch section (record written, pin registered) or is inside
-  // it; taking the latch once waits those out.
-  std::lock_guard<SpinLatch> barrier(latch_);
-}
-
-void Wal::UnblockAppends() {
-  {
-    std::lock_guard<std::mutex> guard(gate_mu_);
-    gate_closed_.store(false, std::memory_order_release);
-  }
-  gate_cv_.notify_all();
-}
-
-void Wal::WaitPinsDrained() {
-  std::unique_lock<std::mutex> lock(pins_mu_);
-  pins_cv_.wait(lock, [this] { return pins_.empty(); });
-}
-
 void Wal::RollbackUnpublishedSegmentsLocked() {
   for (;;) {
     std::string victim;
@@ -737,8 +546,7 @@ Result<Lsn> Wal::Append(const WalRecord& record, bool pin, Lsn* end_lsn) {
   PutFixed32(&frame, Crc32c(payload.data(), payload.size()));
   frame.append(payload);
 
-  LockAppendLatch();
-  std::lock_guard<SpinLatch> guard(latch_, std::adopt_lock);
+  std::lock_guard<SpinLatch> guard(latch_);
   // Sticky-poison check on the single-record path too — an appender must
   // not grow a log whose durability is already unprovable.
   NEOSI_RETURN_IF_ERROR(CheckPoisoned());
@@ -798,8 +606,7 @@ Status Wal::AppendBatch(const std::vector<const WalRecord*>& records,
            frame_offsets[i];
   };
 
-  LockAppendLatch();
-  std::lock_guard<SpinLatch> guard(latch_, std::adopt_lock);
+  std::lock_guard<SpinLatch> guard(latch_);
   NEOSI_RETURN_IF_ERROR(CheckPoisoned());
   const Lsn first = next_lsn_.load(std::memory_order_relaxed);
   {
@@ -909,9 +716,9 @@ Status Wal::FlushOnce() {
   // advance the watermark past frames that went into a segment created
   // after the snapshot.)
   const Lsn durable_upto = next_lsn_.load(std::memory_order_acquire);
-  // The shared handle keeps the file alive if the legacy stop-the-world
-  // checkpoint Reset()s the chain mid-sync (fsync of an unlinked file is
-  // harmless).
+  // The shared handle keeps the file alive if a roll and a concurrent
+  // TruncatePrefix retire this segment mid-sync (fsync of an unlinked file
+  // is harmless).
   std::shared_ptr<PagedFile> file;
   Lsn base = 0;
   {
@@ -929,7 +736,7 @@ Status Wal::FlushOnce() {
     Poison(fault);
     return fault;
   }
-  Status s = SyncForFlush(file.get());
+  Status s = file->Sync();
   if (!s.ok()) {
     Poison(s);
     return s;
@@ -1115,7 +922,6 @@ void Wal::FlusherMain() {
 void Wal::Unpin(Lsn lsn) {
   std::lock_guard<std::mutex> guard(pins_mu_);
   pins_.erase(lsn);
-  if (pins_.empty()) pins_cv_.notify_all();
 }
 
 Lsn Wal::StableLsn() const {
@@ -1331,8 +1137,8 @@ Status Wal::ReadFrom(Lsn from,
   if (from < head) from = head;
   if (from > next) from = next;
 
-  // Snapshot the chain. ReadFrom must not race TruncatePrefix/Reset (it
-  // runs during single-threaded recovery and in tests).
+  // Snapshot the chain. ReadFrom must not race TruncatePrefix (it runs
+  // during single-threaded recovery and in tests).
   std::vector<Segment*> segs;
   {
     std::lock_guard<std::mutex> guard(seg_mu_);
@@ -1391,34 +1197,6 @@ Status Wal::ReadFrom(Lsn from,
 Status Wal::ReadAll(const std::function<Status(const WalRecord&)>& fn) {
   return ReadFrom(head_lsn_.load(std::memory_order_acquire),
                   [&fn](Lsn, const WalRecord& record) { return fn(record); });
-}
-
-Status Wal::Reset() {
-  std::lock_guard<SpinLatch> guard(latch_);
-  std::lock_guard<std::mutex> trunc_guard(trunc_mu_);
-  NEOSI_RETURN_IF_ERROR(CheckPoisoned());
-  // LSNs stay monotonic across the reset: every segment is retired and a
-  // fresh one anchors the chain at the current cursor, so the next append
-  // continues above everything ever handed out.
-  const Lsn next = next_lsn_.load(std::memory_order_relaxed);
-  head_lsn_.store(next, std::memory_order_release);
-
-  std::vector<std::pair<std::string, uint64_t>> victims;
-  {
-    std::lock_guard<std::mutex> seg_guard(seg_mu_);
-    for (const auto& segment : segments_) {
-      victims.emplace_back(SegmentName(segment->index), segment->index);
-    }
-    segments_.clear();
-    active_.store(nullptr, std::memory_order_release);
-    segment_count_.store(0, std::memory_order_release);
-  }
-  for (const auto& [name, index] : victims) {
-    // Front-to-back, one dir sync per retirement (see TruncatePrefix).
-    NEOSI_RETURN_IF_ERROR(RetireSegmentFile(name, index));
-    NEOSI_RETURN_IF_ERROR(dir_->SyncDir());
-  }
-  return AddSegmentLocked(next);
 }
 
 uint64_t Wal::PhysicalBytes() const {

@@ -22,7 +22,7 @@
 //
 // LSNs are LOGICAL byte offsets, monotonic for the lifetime of the log:
 // segment N+1's base is exactly where segment N's frames end, so the lsn
-// space is contiguous across rolls, truncations and resets. A frame with lsn
+// space is contiguous across rolls and truncations. A frame with lsn
 // L lives in the segment with the largest base <= L, at physical offset
 // kSegmentHeaderSize + (L - base).
 //
@@ -61,7 +61,7 @@
 // later fsync returning OK proves nothing: the kernel drops a file's dirty
 // pages after reporting an fsync error, so retrying the fsync and acking
 // on success silently loses the dropped writes (the PostgreSQL "fsyncgate"
-// hole). Recovery-time syncs (inside Open/migration) keep their fail-stop
+// hole). Recovery-time syncs (inside Open) keep their fail-stop
 // behaviour: the open simply fails, nothing is poisoned.
 //
 // With WalOptions::preallocate the flusher also keeps the NEXT segment
@@ -213,17 +213,19 @@ class Wal {
   static std::string SegmentName(uint64_t index);  ///< "wal.000001"
   static std::string FreeName(uint64_t index);     ///< "wal.free.000001"
   static std::string PrepName(uint64_t seq);       ///< "wal.prep.000001"
-  /// Pre-segmentation single-file log, migrated (then removed) at Open.
+  /// Pre-segmentation single-file log; Open() refuses a directory that
+  /// holds one and leaves it untouched.
   static constexpr const char* kLegacyName = "wal.log";
 
   explicit Wal(std::shared_ptr<WalDir> dir, WalOptions options = {});
   ~Wal();
 
   /// Discovers, orders and validates the segment chain (creating the first
-  /// segment for an empty directory), migrates any legacy single-file log,
-  /// drops a half-created newest segment, and positions the append cursor
-  /// after the newest segment's valid frame prefix (truncating a torn
-  /// tail). A gap or out-of-order base inside the chain is Corruption.
+  /// segment for an empty directory), drops a half-created newest segment,
+  /// and positions the append cursor after the newest segment's valid
+  /// frame prefix (truncating a torn tail). A gap or out-of-order base
+  /// inside the chain is Corruption. A directory holding a pre-segment
+  /// `wal.log` is NotSupported, checked before any file is touched.
   Status Open();
 
   /// Appends one record; returns its LSN. With pin=true the LSN is pinned
@@ -287,7 +289,7 @@ class Wal {
   /// Replays every live record in order (from the head). Stops cleanly at a
   /// torn tail in the newest segment (which is then truncated so later
   /// appends start from a clean state); a short frame walk in any older
-  /// segment is Corruption. Must not race TruncatePrefix/Reset.
+  /// segment is Corruption. Must not race TruncatePrefix.
   Status ReadAll(const std::function<Status(const WalRecord&)>& fn);
 
   /// Replays every live record at or above `from`, passing each record's
@@ -295,11 +297,6 @@ class Wal {
   /// work. Same torn-tail handling as ReadAll.
   Status ReadFrom(Lsn from,
                   const std::function<Status(Lsn, const WalRecord&)>& fn);
-
-  /// Truncates the log to empty: every segment is retired and a fresh one
-  /// anchors the chain. LSNs stay monotonic: the next append continues
-  /// above every lsn ever handed out.
-  Status Reset();
 
   // --- fuzzy checkpoint support ----------------------------------------
 
@@ -322,17 +319,6 @@ class Wal {
 
   /// Currently pinned lsns (test / stats hook).
   size_t PinnedCount() const;
-
-  // --- legacy stop-the-world gate (bench comparison only) ---------------
-
-  /// Holds out ALL new appends until UnblockAppends(). Used only by the
-  /// legacy stop-the-world checkpoint kept for the E12 bench comparison.
-  void BlockAppends();
-  void UnblockAppends();
-
-  /// Blocks until no lsn is pinned. Only meaningful while appends are
-  /// blocked (otherwise new pins keep arriving).
-  void WaitPinsDrained();
 
   // --- introspection ----------------------------------------------------
 
@@ -393,8 +379,9 @@ class Wal {
     uint64_t index = 0;
     Lsn base = 0;
     uint64_t epoch = 0;
-    /// Shared so Sync() can fsync outside seg_mu_ while Reset() concurrently
-    /// destroys the Segment (fsync of an unlinked file is harmless).
+    /// Shared so Sync() can fsync outside seg_mu_ while a roll and a
+    /// concurrent TruncatePrefix destroy the Segment (fsync of an unlinked
+    /// file is harmless).
     std::shared_ptr<PagedFile> file;
   };
 
@@ -437,12 +424,6 @@ class Wal {
   /// cursor BELOW the active segment's base and brick every later append
   /// on an underflowed offset. Caller holds latch_.
   void RollbackUnpublishedSegmentsLocked();
-
-  /// Copies frames of a pre-segmentation `wal.log` into a fresh segment
-  /// chain (preserving lsns), then removes the legacy file. Idempotent: a
-  /// crash mid-migration leaves wal.log in place and the next Open restarts
-  /// from scratch.
-  Status MigrateLegacyLog();
 
   /// Retires the named chain segment file: recycle-pool rename while the
   /// pool has room, unlink otherwise.
@@ -498,13 +479,6 @@ class Wal {
   void StartFlusher();
   void StopFlusher();
   void FlusherMain();
-
-  /// Waits while the legacy append gate is closed.
-  void AwaitAppendGate();
-
-  /// Acquires latch_ with the gate re-validated under it (an appender must
-  /// never slip past a closing gate into a log about to be Reset()).
-  void LockAppendLatch();
 
   std::shared_ptr<WalDir> dir_;
   WalOptions options_;
@@ -586,20 +560,14 @@ class Wal {
 
   GroupCommitter group_{this};
 
-  /// Serializes truncations (TruncatePrefix vs Reset) and head updates.
+  /// Serializes truncations (TruncatePrefix) and head updates.
   std::mutex trunc_mu_;
 
   /// Pinned lsns: appended records whose effects have not yet reached the
   /// stores. Insertion happens before the cursor advance publishes the
   /// record; see StableLsn() for the resulting ordering argument.
   mutable std::mutex pins_mu_;
-  std::condition_variable pins_cv_;
   std::set<Lsn> pins_;
-
-  /// Legacy stop-the-world gate (bench only). Closed ⇒ appends park.
-  std::mutex gate_mu_;
-  std::condition_variable gate_cv_;
-  std::atomic<bool> gate_closed_{false};
 };
 
 }  // namespace neosi

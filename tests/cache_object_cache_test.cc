@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "cache/object_cache.h"
+#include "mvcc/epoch.h"
 
 namespace neosi {
 namespace {
@@ -18,7 +22,8 @@ std::unique_ptr<GraphStore> MakeStore() {
 
 TEST(ObjectCache, LoadsNewestCommittedVersionOnMiss) {
   auto store = MakeStore();
-  ObjectCache cache(store.get(), 0);
+  EpochManager epochs;
+  ObjectCache cache(store.get(), 0, epochs);
   const NodeId id = *store->AllocateNodeId();
   ASSERT_TRUE(
       store->PersistNewNode(id, {1}, {{2, PropertyValue("v")}}, 77).ok());
@@ -42,7 +47,8 @@ TEST(ObjectCache, LoadsNewestCommittedVersionOnMiss) {
 
 TEST(ObjectCache, MissOnFreeRecordIsNotFound) {
   auto store = MakeStore();
-  ObjectCache cache(store.get(), 0);
+  EpochManager epochs;
+  ObjectCache cache(store.get(), 0, epochs);
   EXPECT_TRUE(cache.GetNode(42).status().IsNotFound());
   const NodeId id = *store->AllocateNodeId();  // Allocated but zeroed.
   EXPECT_TRUE(cache.GetNode(id).status().IsNotFound());
@@ -50,7 +56,8 @@ TEST(ObjectCache, MissOnFreeRecordIsNotFound) {
 
 TEST(ObjectCache, LoadsTombstoneAsDeletedVersion) {
   auto store = MakeStore();
-  ObjectCache cache(store.get(), 0);
+  EpochManager epochs;
+  ObjectCache cache(store.get(), 0, epochs);
   const NodeId id = *store->AllocateNodeId();
   ASSERT_TRUE(store->PersistNewNode(id, {}, {}, 5).ok());
   ASSERT_TRUE(store->PersistNodeTombstone(id, 9).ok());
@@ -63,7 +70,8 @@ TEST(ObjectCache, LoadsTombstoneAsDeletedVersion) {
 
 TEST(ObjectCache, RelTopologyOnCachedObject) {
   auto store = MakeStore();
-  ObjectCache cache(store.get(), 0);
+  EpochManager epochs;
+  ObjectCache cache(store.get(), 0, epochs);
   const NodeId a = *store->AllocateNodeId();
   const NodeId b = *store->AllocateNodeId();
   ASSERT_TRUE(store->PersistNewNode(a, {}, {}, 1).ok());
@@ -82,7 +90,8 @@ TEST(ObjectCache, RelTopologyOnCachedObject) {
 
 TEST(ObjectCache, InsertNewAndErase) {
   auto store = MakeStore();
-  ObjectCache cache(store.get(), 0);
+  EpochManager epochs;
+  ObjectCache cache(store.get(), 0, epochs);
   auto node = cache.InsertNewNode(10);
   ASSERT_TRUE(node.ok());
   EXPECT_NE(cache.PeekNode(10), nullptr);
@@ -107,7 +116,8 @@ TEST(ObjectCache, InsertNewAndErase) {
 
 TEST(ObjectCache, EvictionKeepsMultiVersionEntitiesPinned) {
   auto store = MakeStore();
-  ObjectCache cache(store.get(), /*capacity=*/4);
+  EpochManager epochs;
+  ObjectCache cache(store.get(), /*capacity=*/4, epochs);
   // 10 single-version nodes (evictable) + 1 multi-version node (pinned).
   for (int i = 0; i < 10; ++i) {
     const NodeId id = *store->AllocateNodeId();
@@ -137,7 +147,8 @@ TEST(ObjectCache, EvictionKeepsMultiVersionEntitiesPinned) {
 
 TEST(ObjectCache, EvictedEntryReloadsFromStore) {
   auto store = MakeStore();
-  ObjectCache cache(store.get(), /*capacity=*/1);
+  EpochManager epochs;
+  ObjectCache cache(store.get(), /*capacity=*/1, epochs);
   std::vector<NodeId> ids;
   for (int i = 0; i < 5; ++i) {
     const NodeId id = *store->AllocateNodeId();
@@ -158,7 +169,8 @@ TEST(ObjectCache, EvictedEntryReloadsFromStore) {
 
 TEST(ObjectCache, StatsCountResidentVersions) {
   auto store = MakeStore();
-  ObjectCache cache(store.get(), 0);
+  EpochManager epochs;
+  ObjectCache cache(store.get(), 0, epochs);
   const NodeId id = *store->AllocateNodeId();
   ASSERT_TRUE(store->PersistNewNode(id, {}, {}, 1).ok());
   auto node = cache.GetNode(id);
@@ -171,6 +183,34 @@ TEST(ObjectCache, StatsCountResidentVersions) {
   EXPECT_EQ(stats.resident_nodes, 1u);
   EXPECT_EQ(stats.resident_versions, 4u);
   EXPECT_GT(stats.approx_bytes, 0u);
+}
+
+// The hit counters take no latch: concurrent lookups must still count every
+// hit exactly once (the TSan job runs this suite).
+TEST(ObjectCache, ConcurrentHitsAreAllCounted) {
+  auto store = MakeStore();
+  EpochManager epochs;
+  ObjectCache cache(store.get(), 0, epochs);
+  const NodeId id = *store->AllocateNodeId();
+  ASSERT_TRUE(store->PersistNewNode(id, {}, {}, 1).ok());
+  ASSERT_TRUE(cache.GetNode(id).ok());  // The one miss + load.
+
+  constexpr int kThreads = 4;
+  constexpr int kLookups = 2000;
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&] {
+      for (int i = 0; i < kLookups; ++i) {
+        auto node = cache.GetNode(id);
+        if (node.ok()) (void)(*node)->chain.LatestCommitted();
+      }
+    });
+  }
+  for (auto& reader : readers) reader.join();
+  const ObjectCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.node_hits, uint64_t{kThreads} * kLookups);
+  EXPECT_EQ(stats.node_misses, 1u);
+  EXPECT_EQ(stats.loads, 1u);
 }
 
 }  // namespace

@@ -257,21 +257,5 @@ TEST(CheckpointDaemon, SegmentRolloverNudgesPastByteThreshold) {
   }));
 }
 
-// The retired stop-the-world checkpoint stays correct (it is the E12 bench
-// baseline): full sync + log reset, data preserved.
-TEST(CheckpointLegacy, StopTheWorldStillCorrect) {
-  auto options = MemOptions();
-  options.checkpoint_interval_ms = 0;
-  auto db = std::move(*GraphDatabase::Open(options));
-  auto txn = db->Begin();
-  const NodeId id = *txn->CreateNode({}, {{"v", PropertyValue(int64_t{9})}});
-  ASSERT_TRUE(txn->Commit().ok());
-  ASSERT_GT(db->engine().store.wal().SizeBytes(), 0u);
-  ASSERT_TRUE(db->engine().store.CheckpointStopTheWorld().ok());
-  EXPECT_EQ(db->engine().store.wal().SizeBytes(), 0u);
-  auto reader = db->Begin();
-  EXPECT_EQ(reader->GetNodeProperty(id, "v")->AsInt(), 9);
-}
-
 }  // namespace
 }  // namespace neosi

@@ -519,6 +519,25 @@ TEST_F(RecoveryTest, TokensSurviveRecovery) {
 // free list. A leaked state op would be replayed against whatever live
 // entity later recycled the id, resurrecting the dead entity's payload on
 // top of it.
+// Tokens first used in one order and committed in the other keep their ids
+// across a reopen (replay writes each at its logged id).
+TEST_F(RecoveryTest, TokensCommittedOutOfFirstUseOrderKeepTheirIds) {
+  NodeId w0, w1;
+  {
+    auto db = std::move(*GraphDatabase::Open(DiskOptions()));
+    auto first = db->Begin();
+    auto second = db->Begin();
+    w0 = *first->CreateNode({"W0"});
+    w1 = *second->CreateNode({"W1"});
+    ASSERT_TRUE(second->Commit().ok());
+    ASSERT_TRUE(first->Commit().ok());
+  }
+  auto db = std::move(*GraphDatabase::Open(DiskOptions()));
+  auto reader = db->Begin();
+  EXPECT_EQ(reader->GetNode(w0)->labels, std::vector<std::string>{"W0"});
+  EXPECT_EQ(reader->GetNode(w1)->labels, std::vector<std::string>{"W1"});
+}
+
 TEST_F(RecoveryTest, AnnihilatedEntityLeavesNoStateInWalReplay) {
   NodeId keep, doomed, reused;
   {

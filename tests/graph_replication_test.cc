@@ -145,6 +145,53 @@ TEST(Replication, UpdatesDeletesAndIndexesShip) {
   EXPECT_TRUE(reader->GetNode(b).ok());
 }
 
+// A token id is allocated when a transaction first uses a name, not when it
+// commits: replay must put each token at its logged id, whatever the commit
+// order.
+TEST(Replication, TokensReplayAtTheirLoggedIdsInCommitOrder) {
+  auto primary = MustOpen(PrimaryOptions());
+  auto replica = MustOpen(ManualReplicaOptions(primary.get()));
+
+  auto first = primary->Begin();
+  auto second = primary->Begin();
+  const NodeId w0 = *first->CreateNode({"W0"});
+  const NodeId w1 = *second->CreateNode({"W1"});
+  ASSERT_TRUE(second->Commit().ok());
+  ASSERT_TRUE(first->Commit().ok());
+  CatchUp(replica.get());
+
+  auto reader = replica->Begin();
+  EXPECT_EQ(reader->GetNode(w0)->labels, std::vector<std::string>{"W0"});
+  EXPECT_EQ(reader->GetNode(w1)->labels, std::vector<std::string>{"W1"});
+  EXPECT_EQ(Materialize(replica.get()), Materialize(primary.get()));
+}
+
+// An aborted transaction's token id is never logged: the replica keeps it as
+// a hole and resolves the next logged id exactly as the primary did.
+TEST(Replication, AbortedCreatorsTokenIdStaysAHole) {
+  auto primary = MustOpen(PrimaryOptions());
+  auto replica = MustOpen(ManualReplicaOptions(primary.get()));
+
+  {
+    auto aborted = primary->Begin();
+    ASSERT_TRUE(aborted->CreateNode({"A"}).ok());
+    ASSERT_TRUE(aborted->Abort().ok());
+  }
+  NodeId b;
+  {
+    auto txn = primary->Begin();
+    b = *txn->CreateNode({"B"});
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  CatchUp(replica.get());
+
+  auto reader = replica->Begin();
+  auto view = reader->GetNode(b);
+  ASSERT_TRUE(view.ok()) << view.status();
+  EXPECT_EQ(view->labels, std::vector<std::string>{"B"});
+  EXPECT_EQ(Materialize(replica.get()), Materialize(primary.get()));
+}
+
 TEST(Replication, ReplicaIsReadOnlyWithRetryableStatus) {
   auto primary = MustOpen(PrimaryOptions());
   auto replica = MustOpen(ManualReplicaOptions(primary.get()));

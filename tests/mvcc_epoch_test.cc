@@ -33,27 +33,23 @@ TEST(EpochManager, EnterExitPublishesAndClearsTheSlot) {
   EXPECT_EQ(epochs.slot_count(), 4u);
   EXPECT_EQ(epochs.MinActiveEpoch(), UINT64_MAX) << "no reader entered";
   {
-    EpochManager::Guard guard(&epochs);
+    EpochManager::Guard guard(epochs);
     EXPECT_EQ(epochs.MinActiveEpoch(), epochs.current_epoch());
   }
   EXPECT_EQ(epochs.MinActiveEpoch(), UINT64_MAX) << "guard exit frees the slot";
 }
 
-TEST(EpochManager, NullManagerGuardIsANoOp) {
-  EpochManager::Guard guard(nullptr);  // latched-baseline call sites do this
-}
-
 TEST(EpochManager, MinActiveEpochTracksTheOldestEnteredReader) {
   EpochManager epochs(4);
   const uint64_t e0 = epochs.current_epoch();
-  EpochManager::Guard old_reader(&epochs);  // pinned at e0
+  EpochManager::Guard old_reader(epochs);  // pinned at e0
   epochs.BumpEpoch();
   epochs.BumpEpoch();
   EXPECT_EQ(epochs.current_epoch(), e0 + 2);
   // The old reader holds the minimum down at its entry epoch.
   EXPECT_EQ(epochs.MinActiveEpoch(), e0);
   {
-    EpochManager::Guard young_reader(&epochs);  // enters at e0 + 2
+    EpochManager::Guard young_reader(epochs);  // enters at e0 + 2
     EXPECT_EQ(epochs.MinActiveEpoch(), e0);
   }
   EXPECT_EQ(epochs.MinActiveEpoch(), e0);
@@ -61,7 +57,7 @@ TEST(EpochManager, MinActiveEpochTracksTheOldestEnteredReader) {
 
 TEST(EpochManager, DrainFreesOnlyEntriesNoEnteredReaderCanReach) {
   EpochManager epochs(4);
-  VersionChain chain(&epochs);
+  VersionChain chain(epochs);
   ASSERT_TRUE(chain.InstallUncommitted(1, Data(10)).ok());
   ASSERT_TRUE(chain.CommitHead(1, 10).ok());
   ASSERT_TRUE(chain.InstallUncommitted(2, Data(20)).ok());
@@ -69,7 +65,7 @@ TEST(EpochManager, DrainFreesOnlyEntriesNoEnteredReaderCanReach) {
   ASSERT_TRUE(superseded.ok());
   std::weak_ptr<Version> watch = *superseded;
 
-  auto reader = std::make_unique<EpochManager::Guard>(&epochs);
+  auto reader = std::make_unique<EpochManager::Guard>(epochs);
   ASSERT_TRUE(chain.Remove(*superseded));  // retires into limbo
   superseded->reset();  // limbo now holds the only strong reference
   EXPECT_EQ(epochs.limbo_size(), 1u);
@@ -93,7 +89,7 @@ TEST(EpochManager, DrainFreesOnlyEntriesNoEnteredReaderCanReach) {
 
 TEST(EpochManager, RetireesStampedAtTheCurrentEpochSurviveSameEpochDrain) {
   EpochManager epochs(2);
-  VersionChain chain(&epochs);
+  VersionChain chain(epochs);
   ASSERT_TRUE(chain.InstallUncommitted(1, Data(1)).ok());
   ASSERT_TRUE(chain.CommitHead(1, 5).ok());
   ASSERT_TRUE(chain.InstallUncommitted(2, Data(2)).ok());
@@ -103,7 +99,7 @@ TEST(EpochManager, RetireesStampedAtTheCurrentEpochSurviveSameEpochDrain) {
   {
     // A reader entered at the CURRENT epoch: a drain without a bump must
     // not free anything retired at that same epoch (stamp < min fails).
-    EpochManager::Guard reader(&epochs);
+    EpochManager::Guard reader(epochs);
     ASSERT_TRUE(chain.Remove(*superseded));
     superseded->reset();  // limbo holds the only strong reference
     EXPECT_EQ(epochs.Drain(), 0u);
@@ -118,7 +114,7 @@ TEST(EpochManager, DestructorFreesOutstandingLimbo) {
   std::weak_ptr<Version> watch;
   {
     EpochManager epochs(2);
-    VersionChain chain(&epochs);
+    VersionChain chain(epochs);
     ASSERT_TRUE(chain.InstallUncommitted(1, Data(1)).ok());
     ASSERT_TRUE(chain.CommitHead(1, 5).ok());
     ASSERT_TRUE(chain.InstallUncommitted(2, Data(2)).ok());
@@ -133,7 +129,7 @@ TEST(EpochManager, DestructorFreesOutstandingLimbo) {
 
 TEST(EpochManager, PruneRetiresTheSuffixAsOneEntryWithLinksIntact) {
   EpochManager epochs(4);
-  VersionChain chain(&epochs);
+  VersionChain chain(epochs);
   for (int i = 1; i <= 5; ++i) {
     ASSERT_TRUE(chain.InstallUncommitted(i, Data(i * 10)).ok());
     auto superseded = chain.CommitHead(i, i * 10);
@@ -145,7 +141,7 @@ TEST(EpochManager, PruneRetiresTheSuffixAsOneEntryWithLinksIntact) {
   // the suffix, the reader's walk down older_raw still traverses retired
   // versions (interior links intact) — observable here as a snapshot read
   // at ts 20 continuing to resolve.
-  EpochManager::Guard reader(&epochs);
+  EpochManager::Guard reader(epochs);
   auto old_visible = chain.Visible(20);
   ASSERT_NE(old_visible, nullptr);
   EXPECT_EQ(ValueOf(old_visible), 20);
@@ -173,7 +169,7 @@ TEST(EpochManager, SlotExhaustionStallsEntryButMakesProgress) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 2000; ++i) {
-        EpochManager::Guard guard(&epochs);
+        EpochManager::Guard guard(epochs);
       }
       completed.fetch_add(1);
     });
@@ -189,7 +185,7 @@ TEST(EpochManager, SlotExhaustionStallsEntryButMakesProgress) {
 // hard failure; without sanitizers the value checks still catch torn state.
 TEST(EpochManager, TornReaderStressNeverObservesReclaimedMemory) {
   EpochManager epochs;  // auto-sized
-  VersionChain chain(&epochs);
+  VersionChain chain(epochs);
   ASSERT_TRUE(chain.InstallUncommitted(1, Data(1)).ok());
   ASSERT_TRUE(chain.CommitHead(1, 1).ok());
 

@@ -1,5 +1,5 @@
 // WAL framing, op serialization, torn-tail handling, segment rotation,
-// recycle pool, chain validation, and legacy single-file migration.
+// recycle pool, chain validation, and refusal of pre-segment logs.
 
 #include <gtest/gtest.h>
 
@@ -165,15 +165,6 @@ TEST(Wal, CorruptPayloadStopsReplay) {
   EXPECT_EQ(ReplayTimestamps(wal.get()), (std::vector<Timestamp>{10}));
 }
 
-TEST(Wal, ResetEmptiesLog) {
-  auto dir = std::make_shared<InMemoryWalDir>();
-  auto wal = OpenWal(dir);
-  ASSERT_TRUE(wal->Append(MakeRecord(1, 10)).ok());
-  ASSERT_TRUE(wal->Reset().ok());
-  EXPECT_EQ(wal->SizeBytes(), 0u);
-  EXPECT_TRUE(ReplayTimestamps(wal.get()).empty());
-}
-
 TEST(Wal, OpenPositionsCursorAfterValidPrefix) {
   auto dir = std::make_shared<InMemoryWalDir>();
   uint64_t valid;
@@ -202,16 +193,6 @@ TEST(Wal, AppendBatchFramesDecodeIndividually) {
 
   EXPECT_EQ(ReplayTimestamps(wal.get()),
             (std::vector<Timestamp>{10, 20, 30, 40}));
-}
-
-TEST(Wal, ResetKeepsLsnsMonotonic) {
-  auto dir = std::make_shared<InMemoryWalDir>();
-  auto wal = OpenWal(dir);
-  const Lsn before = *wal->Append(MakeRecord(1, 10));
-  ASSERT_TRUE(wal->Reset().ok());
-  EXPECT_EQ(wal->SizeBytes(), 0u);
-  const Lsn after = *wal->Append(MakeRecord(2, 20));
-  EXPECT_GT(after, before);
 }
 
 // ---------------------------------------------------------------------------
@@ -704,110 +685,40 @@ TEST(WalChain, TornFrameInsideOlderSegmentFailsReplayLoudly) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy single-file → segmented migration
+// Pre-segment logs
 // ---------------------------------------------------------------------------
 
-/// Builds a legacy v2 single-file log: dual-slot header + frames.
-void WriteLegacyV2Log(InMemoryWalDir* dir, const std::vector<WalRecord>& records) {
+TEST(Wal, OpenRefusesPreSegmentLogAndTouchesNoFile) {
+  auto dir = std::make_shared<InMemoryWalDir>();
+  const std::string legacy_bytes = "pre-segment frames";
   std::unique_ptr<PagedFile> file;
   ASSERT_TRUE(dir->Open(Wal::kLegacyName, &file).ok());
-  // Slot 1 (seq 1), matching a freshly created legacy log.
-  char slot[32] = {};
-  EncodeFixed32(slot, 0x324c574e);       // "NWL2"
-  EncodeFixed32(slot + 4, 2);            // version
-  EncodeFixed64(slot + 8, 0);            // head
-  EncodeFixed64(slot + 16, 0);           // base
-  EncodeFixed32(slot + 24, 1);           // seq
-  EncodeFixed32(slot + 28, Crc32c(slot, 28));
-  ASSERT_TRUE(file->WriteAt(32, slot, 32).ok());
-  uint64_t offset = 64;
-  for (const WalRecord& record : records) {
-    std::string payload;
-    record.EncodeTo(&payload);
-    char hdr[8];
-    EncodeFixed32(hdr, static_cast<uint32_t>(payload.size()));
-    EncodeFixed32(hdr + 4, Crc32c(payload.data(), payload.size()));
-    ASSERT_TRUE(file->WriteAt(offset, hdr, 8).ok());
-    ASSERT_TRUE(file->WriteAt(offset + 8, payload.data(), payload.size()).ok());
-    offset += 8 + payload.size();
+  ASSERT_TRUE(
+      file->WriteAt(0, legacy_bytes.data(), legacy_bytes.size()).ok());
+  file.reset();
+  // Files Open() would otherwise remove or adopt.
+  for (const std::string& name :
+       {Wal::SegmentName(1), Wal::FreeName(2), Wal::PrepName(3)}) {
+    ASSERT_TRUE(dir->Open(name, &file).ok());
+    file.reset();
   }
-}
 
-TEST(WalMigration, V2SingleFileLogMigratesToSegments) {
-  auto dir = std::make_shared<InMemoryWalDir>();
-  WriteLegacyV2Log(dir.get(),
-                   {MakeRecord(1, 10), MakeRecord(2, 20), MakeRecord(3, 30)});
+  Wal wal(dir);
+  Status s = wal.Open();
+  EXPECT_TRUE(s.IsNotSupported()) << s;
+  EXPECT_FALSE(s.IsRetryable());
+  EXPECT_NE(s.ToString().find(Wal::kLegacyName), std::string::npos) << s;
 
-  auto wal = OpenWal(dir);
-  EXPECT_FALSE(dir->Exists(Wal::kLegacyName));
-  EXPECT_GE(wal->SegmentCount(), 1u);
-  EXPECT_EQ(ReplayTimestamps(wal.get()),
-            (std::vector<Timestamp>{10, 20, 30}));
-
-  // Appends extend the migrated log; a second open sees a pure segment
-  // chain.
-  ASSERT_TRUE(wal->Append(MakeRecord(4, 40)).ok());
-  auto reopened = OpenWal(dir);
-  EXPECT_EQ(ReplayTimestamps(reopened.get()),
-            (std::vector<Timestamp>{10, 20, 30, 40}));
-}
-
-TEST(WalMigration, V2MigrationSplitsIntoSmallSegments) {
-  auto dir = std::make_shared<InMemoryWalDir>();
-  std::vector<WalRecord> records;
-  std::vector<Timestamp> expect;
-  for (int i = 1; i <= 24; ++i) {
-    records.push_back(SmallRecord(i, i * 10));
-    expect.push_back(i * 10);
-  }
-  WriteLegacyV2Log(dir.get(), records);
-
-  auto wal = OpenWal(dir, TinySegments());
-  EXPECT_GT(wal->SegmentCount(), 1u);
-  EXPECT_EQ(ReplayTimestamps(wal.get()), expect);
-}
-
-TEST(WalMigration, HeaderlessV1LogMigratesOnOpen) {
-  // Build a pre-header (v1) log by hand: raw frames from byte 0.
-  auto dir = std::make_shared<InMemoryWalDir>();
-  std::unique_ptr<PagedFile> raw;
-  ASSERT_TRUE(dir->Open(Wal::kLegacyName, &raw).ok());
-  uint64_t offset = 0;
-  for (int i = 1; i <= 3; ++i) {
-    std::string payload;
-    MakeRecord(i, i * 10).EncodeTo(&payload);
-    char hdr[8];
-    EncodeFixed32(hdr, static_cast<uint32_t>(payload.size()));
-    EncodeFixed32(hdr + 4, Crc32c(payload.data(), payload.size()));
-    ASSERT_TRUE(raw->WriteAt(offset, hdr, 8).ok());
-    ASSERT_TRUE(raw->WriteAt(offset + 8, payload.data(), payload.size()).ok());
-    offset += 8 + payload.size();
-  }
-  raw.reset();
-
-  auto wal = OpenWal(dir);
-  EXPECT_FALSE(dir->Exists(Wal::kLegacyName));
-  EXPECT_EQ(ReplayTimestamps(wal.get()),
-            (std::vector<Timestamp>{10, 20, 30}));
-  ASSERT_TRUE(wal->Append(MakeRecord(4, 40)).ok());
-  auto reopened = OpenWal(dir);
-  EXPECT_EQ(ReplayTimestamps(reopened.get()),
-            (std::vector<Timestamp>{10, 20, 30, 40}));
-}
-
-TEST(WalMigration, CrashMidMigrationRestartsFromScratch) {
-  auto dir = std::make_shared<InMemoryWalDir>();
-  WriteLegacyV2Log(dir.get(), {MakeRecord(1, 10), MakeRecord(2, 20)});
-  // Simulate a crash mid-migration: a partial segment exists NEXT TO the
-  // legacy file (which is only removed once the copied chain is durable).
-  std::unique_ptr<PagedFile> partial;
-  ASSERT_TRUE(dir->Open(Wal::SegmentName(1), &partial).ok());
-  ASSERT_TRUE(partial->WriteAt(0, "partial-copy", 12).ok());
-  partial.reset();
-
-  auto wal = OpenWal(dir);
-  EXPECT_FALSE(dir->Exists(Wal::kLegacyName));
-  EXPECT_EQ(ReplayTimestamps(wal.get()), (std::vector<Timestamp>{10, 20}));
+  std::vector<std::string> names;
+  ASSERT_TRUE(dir->List(&names).ok());
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"wal.000001", "wal.free.000002",
+                                             "wal.log", "wal.prep.000003"}));
+  ASSERT_TRUE(dir->Open(Wal::kLegacyName, &file).ok());
+  ASSERT_EQ(file->Size(), legacy_bytes.size());
+  std::string read(legacy_bytes.size(), '\0');
+  ASSERT_TRUE(file->ReadAt(0, read.size(), read.data()).ok());
+  EXPECT_EQ(read, legacy_bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -949,7 +860,6 @@ TEST(WalPoison, SyncEioPoisonsUntilReopen) {
   std::vector<Lsn> lsns;
   EXPECT_TRUE(wal->AppendBatch(ptrs, &lsns, nullptr).IsIOError());
   EXPECT_TRUE(wal->group().Commit(SmallRecord(5, 50), true).status().IsIOError());
-  EXPECT_TRUE(wal->Reset().IsIOError());
   EXPECT_TRUE(wal->PoisonedStatus().IsIOError());
 
   // Reopen re-reads what is really durable: the synced record survives,
