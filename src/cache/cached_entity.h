@@ -39,6 +39,12 @@ struct CachedRel {
   VersionChain chain;
 };
 
+// Every miss allocates one of these, and a cache at capacity holds a million
+// of them: the CLOCK reference bit rides in VersionChain's padding, so keep
+// any new field from growing them.
+static_assert(sizeof(CachedNode) == 48, "CachedNode grew");
+static_assert(sizeof(CachedRel) == 72, "CachedRel grew");
+
 }  // namespace neosi
 
 #endif  // NEOSI_CACHE_CACHED_ENTITY_H_

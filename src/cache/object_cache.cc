@@ -1,6 +1,6 @@
 #include "cache/object_cache.h"
 
-#include <array>
+#include <algorithm>
 
 namespace neosi {
 
@@ -11,19 +11,21 @@ ObjectCache::ObjectCache(GraphStore* store, size_t capacity,
       epochs_(epochs) {}
 
 Result<std::shared_ptr<CachedNode>> ObjectCache::GetNode(NodeId id) {
-  NodeShard& shard = NodeShardFor(id);
+  Shard& shard = ShardFor(id);
   {
     ReadGuard guard(shard.latch);
-    auto it = shard.map.find(id);
-    if (it != shard.map.end()) {
+    auto it = shard.nodes.find(id);
+    if (it != shard.nodes.end()) {
       node_hits_.fetch_add(1, std::memory_order_relaxed);
+      it->second->chain.MarkReferenced();
       return it->second;
     }
   }
   // Miss: load the newest committed version from the store.
+  Victims victims;  // Declared first: freed after the latch.
   WriteGuard guard(shard.latch);
-  auto it = shard.map.find(id);
-  if (it != shard.map.end()) return it->second;  // Raced another loader.
+  auto it = shard.nodes.find(id);
+  if (it != shard.nodes.end()) return it->second;  // Raced another loader.
 
   NodeState state;
   Status s = store_->ReadNodeState(id, &state);
@@ -44,25 +46,28 @@ Result<std::shared_ptr<CachedNode>> ObjectCache::GetNode(NodeId id) {
   auto superseded = node->chain.CommitHead(kNoTxn, state.commit_ts);
   if (!superseded.ok()) return superseded.status();
 
-  shard.map[id] = node;
+  shard.nodes.emplace(id, node);
+  AddResident(shard, victims);
   node_misses_.fetch_add(1, std::memory_order_relaxed);
   loads_.fetch_add(1, std::memory_order_relaxed);
   return node;
 }
 
 Result<std::shared_ptr<CachedRel>> ObjectCache::GetRel(RelId id) {
-  RelShard& shard = RelShardFor(id);
+  Shard& shard = ShardFor(id);
   {
     ReadGuard guard(shard.latch);
-    auto it = shard.map.find(id);
-    if (it != shard.map.end()) {
+    auto it = shard.rels.find(id);
+    if (it != shard.rels.end()) {
       rel_hits_.fetch_add(1, std::memory_order_relaxed);
+      it->second->chain.MarkReferenced();
       return it->second;
     }
   }
+  Victims victims;
   WriteGuard guard(shard.latch);
-  auto it = shard.map.find(id);
-  if (it != shard.map.end()) return it->second;
+  auto it = shard.rels.find(id);
+  if (it != shard.rels.end()) return it->second;
 
   RelState state;
   Status s = store_->ReadRelState(id, &state);
@@ -83,7 +88,8 @@ Result<std::shared_ptr<CachedRel>> ObjectCache::GetRel(RelId id) {
   auto superseded = rel->chain.CommitHead(kNoTxn, state.commit_ts);
   if (!superseded.ok()) return superseded.status();
 
-  shard.map[id] = rel;
+  shard.rels.emplace(id, rel);
+  AddResident(shard, victims);
   rel_misses_.fetch_add(1, std::memory_order_relaxed);
   loads_.fetch_add(1, std::memory_order_relaxed);
   return rel;
@@ -105,108 +111,117 @@ bool IsDefunct(const VersionChain& chain) {
 }  // namespace
 
 Result<std::shared_ptr<CachedNode>> ObjectCache::InsertNewNode(NodeId id) {
-  NodeShard& shard = NodeShardFor(id);
+  Shard& shard = ShardFor(id);
+  Victims victims;
   WriteGuard guard(shard.latch);
-  auto [it, inserted] = shard.map.emplace(id, nullptr);
-  if (!inserted) {
-    if (!IsDefunct(it->second->chain)) {
-      return Status::Internal("InsertNewNode: live node already cached: " +
-                              std::to_string(id));
-    }
-    // Stale entry for the previous (purged) occupant of this record id.
+  auto [it, inserted] = shard.nodes.emplace(id, nullptr);
+  if (!inserted && !IsDefunct(it->second->chain)) {
+    return Status::Internal("InsertNewNode: live node already cached: " +
+                            std::to_string(id));
   }
-  it->second = std::make_shared<CachedNode>(id, epochs_);
-  return it->second;
+  // Replacing a stale entry for the previous (purged) occupant of this
+  // record id leaves the resident count as it was.
+  auto node = std::make_shared<CachedNode>(id, epochs_);
+  it->second = node;
+  if (inserted) AddResident(shard, victims);
+  return node;
 }
 
 Result<std::shared_ptr<CachedRel>> ObjectCache::InsertNewRel(RelId id,
                                                              NodeId src,
                                                              NodeId dst,
                                                              RelTypeId type) {
-  RelShard& shard = RelShardFor(id);
+  Shard& shard = ShardFor(id);
+  Victims victims;
   WriteGuard guard(shard.latch);
-  auto [it, inserted] = shard.map.emplace(id, nullptr);
-  if (!inserted) {
-    if (!IsDefunct(it->second->chain)) {
-      return Status::Internal(
-          "InsertNewRel: live relationship already cached: " +
-          std::to_string(id));
-    }
+  auto [it, inserted] = shard.rels.emplace(id, nullptr);
+  if (!inserted && !IsDefunct(it->second->chain)) {
+    return Status::Internal("InsertNewRel: live relationship already cached: " +
+                            std::to_string(id));
   }
-  it->second = std::make_shared<CachedRel>(id, src, dst, type, epochs_);
-  return it->second;
+  auto rel = std::make_shared<CachedRel>(id, src, dst, type, epochs_);
+  it->second = rel;
+  if (inserted) AddResident(shard, victims);
+  return rel;
 }
 
 std::shared_ptr<CachedNode> ObjectCache::PeekNode(NodeId id) const {
-  NodeShard& shard = NodeShardFor(id);
+  Shard& shard = ShardFor(id);
   ReadGuard guard(shard.latch);
-  auto it = shard.map.find(id);
-  return it == shard.map.end() ? nullptr : it->second;
+  auto it = shard.nodes.find(id);
+  return it == shard.nodes.end() ? nullptr : it->second;
 }
 
 std::shared_ptr<CachedRel> ObjectCache::PeekRel(RelId id) const {
-  RelShard& shard = RelShardFor(id);
+  Shard& shard = ShardFor(id);
   ReadGuard guard(shard.latch);
-  auto it = shard.map.find(id);
-  return it == shard.map.end() ? nullptr : it->second;
+  auto it = shard.rels.find(id);
+  return it == shard.rels.end() ? nullptr : it->second;
 }
 
 void ObjectCache::EraseNode(NodeId id) {
-  NodeShard& shard = NodeShardFor(id);
+  Shard& shard = ShardFor(id);
   WriteGuard guard(shard.latch);
-  shard.map.erase(id);
+  if (shard.nodes.erase(id) != 0) {
+    resident_.fetch_sub(1, std::memory_order_relaxed);
+  }
 }
 
 void ObjectCache::EraseRel(RelId id) {
-  RelShard& shard = RelShardFor(id);
+  Shard& shard = ShardFor(id);
   WriteGuard guard(shard.latch);
-  shard.map.erase(id);
+  if (shard.rels.erase(id) != 0) {
+    resident_.fetch_sub(1, std::memory_order_relaxed);
+  }
 }
 
-size_t ObjectCache::EvictIfNeeded() {
-  if (ResidentCount() <= capacity_) return 0;
-  size_t evicted = 0;
-  auto evictable_chain = [](const VersionChain& chain) {
-    // Single committed version: the store already holds exactly this state.
-    // Multi-version or uncommitted entities are pinned (old versions exist
-    // only in memory; uncommitted state belongs to a live transaction).
-    if (chain.Length() != 1) return false;
-    return !chain.HasUncommitted();
+void ObjectCache::AddResident(Shard& shard, Victims& victims) {
+  const size_t resident = resident_.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (resident <= capacity_) return;
+  const size_t want = std::min(resident - capacity_, kMaxEvictions);
+  size_t found = 0;
+  size_t steps = 0;
+  // Sweeps one bucket; takes at most one victim, since erasing it
+  // invalidates the bucket iterator.
+  auto sweep = [&](auto& map, size_t bucket) {
+    for (auto it = map.begin(bucket); it != map.end(bucket); ++it, ++steps) {
+      const auto& entry = it->second;
+      // Second chance: a referenced entry survives this pass of the hand.
+      if (entry->chain.ClearReferenced()) continue;
+      // use_count() is exact here: copies of the map's reference are made
+      // under this shard's latch, which we hold for write, so a count of
+      // one means no reader or writer holds the object and none can start.
+      if (entry.use_count() != 1 || !entry->chain.IsSingleCommitted()) {
+        continue;
+      }
+      const uint64_t id = entry->id;
+      victims[found++] = entry;
+      map.erase(id);
+      return;
+    }
   };
-  for (auto& shard : node_shards_) {
-    WriteGuard guard(shard.latch);
-    for (auto it = shard.map.begin(); it != shard.map.end();) {
-      if (evictable_chain(it->second->chain)) {
-        it = shard.map.erase(it);
-        ++evicted;
-      } else {
-        ++it;
-      }
+  const size_t node_buckets = shard.nodes.bucket_count();
+  for (; steps < kMaxClockSteps && found < want; ++steps) {
+    const size_t bucket =
+        shard.hand++ % (node_buckets + shard.rels.bucket_count());
+    if (bucket < node_buckets) {
+      sweep(shard.nodes, bucket);
+    } else {
+      sweep(shard.rels, bucket - node_buckets);
     }
   }
-  for (auto& shard : rel_shards_) {
-    WriteGuard guard(shard.latch);
-    for (auto it = shard.map.begin(); it != shard.map.end();) {
-      if (evictable_chain(it->second->chain)) {
-        it = shard.map.erase(it);
-        ++evicted;
-      } else {
-        ++it;
-      }
-    }
-  }
-  evictions_.fetch_add(evicted, std::memory_order_relaxed);
-  return evicted;
+  resident_.fetch_sub(found, std::memory_order_relaxed);
+  evictions_.fetch_add(found, std::memory_order_relaxed);
 }
 
 void ObjectCache::ForEachNode(
     const std::function<void(const std::shared_ptr<CachedNode>&)>& fn) const {
-  for (const auto& shard : node_shards_) {
+  for (const auto& shard : shards_) {
     std::vector<std::shared_ptr<CachedNode>> snapshot;
     {
       ReadGuard guard(shard.latch);
-      snapshot.reserve(shard.map.size());
-      for (const auto& [id, node] : shard.map) snapshot.push_back(node);
+      snapshot.reserve(shard.nodes.size());
+      for (const auto& [id, node] : shard.nodes) snapshot.push_back(node);
     }
     for (const auto& node : snapshot) fn(node);
   }
@@ -214,28 +229,15 @@ void ObjectCache::ForEachNode(
 
 void ObjectCache::ForEachRel(
     const std::function<void(const std::shared_ptr<CachedRel>&)>& fn) const {
-  for (const auto& shard : rel_shards_) {
+  for (const auto& shard : shards_) {
     std::vector<std::shared_ptr<CachedRel>> snapshot;
     {
       ReadGuard guard(shard.latch);
-      snapshot.reserve(shard.map.size());
-      for (const auto& [id, rel] : shard.map) snapshot.push_back(rel);
+      snapshot.reserve(shard.rels.size());
+      for (const auto& [id, rel] : shard.rels) snapshot.push_back(rel);
     }
     for (const auto& rel : snapshot) fn(rel);
   }
-}
-
-size_t ObjectCache::ResidentCount() const {
-  size_t n = 0;
-  for (const auto& shard : node_shards_) {
-    ReadGuard guard(shard.latch);
-    n += shard.map.size();
-  }
-  for (const auto& shard : rel_shards_) {
-    ReadGuard guard(shard.latch);
-    n += shard.map.size();
-  }
-  return n;
 }
 
 ObjectCacheStats ObjectCache::Stats() const {

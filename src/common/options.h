@@ -93,9 +93,12 @@ struct DatabaseOptions {
   size_t page_size = 8192;
 
   /// Soft capacity of the object cache, in CACHED OBJECTS (nodes + rels).
-  /// Default: 1'048'576 (1 << 20). 0 = unbounded. Clean single-version
-  /// objects beyond this are evicted by the GC daemon's per-pass (and
-  /// idle-wakeup) eviction sweep — eviction never runs on the commit path.
+  /// Default: 1'048'576 (1 << 20). 0 = unbounded. A load or creation that
+  /// takes the cache over this count evicts up to two cold objects from
+  /// its own shard (CLOCK second chance), with or without the GC daemon.
+  /// Objects that carry old versions, an uncommitted write, or a holder
+  /// outside the cache are never evicted, so the count can overshoot while
+  /// they pin it.
   size_t object_cache_capacity = 1 << 20;
 
   // --- GC daemon (version reclamation) -------------------------------------

@@ -76,8 +76,6 @@ GcEngine::GcEngine(Engine* engine) : engine_(engine) {
   }
 }
 
-void GcEngine::EvictCache() { engine_->cache->EvictIfNeeded(); }
-
 void GcEngine::DrainEpochs() {
   engine_->epochs.BumpEpoch();
   engine_->epochs.Drain();
@@ -206,9 +204,6 @@ GcStats GcEngine::CollectUpTo(Timestamp watermark) {
   {
     std::lock_guard<std::mutex> extras(extras_mu_);
     CompactIndexes(watermark, &stats);
-    // Cache eviction rides the GC pass (it used to ride the retired
-    // foreground auto-GC): single-version clean objects beyond capacity go.
-    EvictCache();
     // Versions the prune/purge above unlinked were retired into the epoch
     // limbo (latch-free read path); bump + drain frees the reachable-free
     // ones now, so a manual RunGc() pass reclaims memory end to end.
@@ -235,7 +230,6 @@ GcStats GcEngine::CollectShardUpTo(size_t shard, Timestamp watermark,
   if (run_global_extras) {
     std::lock_guard<std::mutex> extras(extras_mu_);
     CompactIndexes(watermark, &stats);
-    EvictCache();
     DrainEpochs();
   }
 

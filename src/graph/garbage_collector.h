@@ -57,15 +57,10 @@ class GcEngine {
   /// One SHARD drain (the per-worker path): pops only `shard`'s
   /// reclaimable entries and reclaims them. When `run_global_extras` is
   /// set (exactly one worker per daemon cycle — the primary), the pass
-  /// also compacts the indexes and runs the cache-eviction sweep, which
-  /// are global structures that must not be swept once per shard.
+  /// also compacts the indexes and ticks the epoch drain, which are global
+  /// and must not run once per shard.
   GcStats CollectShardUpTo(size_t shard, Timestamp watermark,
                            bool run_global_extras);
-
-  /// Object-cache eviction sweep (EvictIfNeeded). Runs with the global
-  /// extras of a pass; the daemon also calls it on idle-skipped wakeups so
-  /// eviction never starves on garbage-free (e.g. insert-only) workloads.
-  void EvictCache();
 
   /// Epoch tick for the latch-free read path: bumps the global epoch, then
   /// frees every limbo version no entered reader can still reach. Run by
@@ -88,7 +83,7 @@ class GcEngine {
   /// target the same shard); global passes additionally serialize among
   /// themselves and with every shard via ordered acquisition.
   std::vector<std::unique_ptr<std::mutex>> shard_mus_;
-  /// Serializes the global extras (index compaction + eviction) between
+  /// Serializes the global extras (index compaction + epoch tick) between
   /// the primary worker and manual Collect() calls.
   std::mutex extras_mu_;
 };

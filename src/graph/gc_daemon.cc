@@ -150,16 +150,11 @@ void GcDaemon::Loop(size_t shard) {
       }
       wait_ms = pinned_backlog ? std::min(interval_ms_, kPinnedRetryMs)
                                : interval_ms_;
-      // Cache eviction must not starve while reclamation is idle (this
-      // used to ride the retired foreground auto-GC). Primary only: the
-      // sweep is global, N copies per cycle would be pure overhead. The
-      // epoch tick rides along for the same reason: abort-path retirees
-      // and other shards' prunes must reach the limbo drain even when
-      // shard 0 itself has nothing reclaimable.
-      if (primary) {
-        gc_->EvictCache();
-        gc_->DrainEpochs();
-      }
+      // The epoch tick must not starve while reclamation is idle:
+      // abort-path retirees and other shards' prunes must reach the limbo
+      // drain even when shard 0 itself has nothing reclaimable. Primary
+      // only: the tick is global, N copies per cycle would be overhead.
+      if (primary) gc_->DrainEpochs();
       idle_skips_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }

@@ -16,11 +16,12 @@
 // snapshot expiry sweep (ActiveTxnTable::ExpireSnapshots) on every wakeup —
 // age-based (snapshot_max_age_ms) plus backlog-pressure eviction of the
 // watermark-pinning cohort (snapshot_expire_backlog) — and carries the
-// global per-pass extras (index compaction, cache eviction, and the epoch
-// bump+drain tick that frees limbo versions retired by the latch-free
-// read path) that must not run once per shard. The epoch tick runs on
-// idle skips too, so abort-path retirees are freed even when nothing is
-// reclaimable.
+// global per-pass extras (index compaction and the epoch bump+drain tick
+// that frees limbo versions retired by the latch-free read path) that must
+// not run once per shard. The epoch tick runs on idle skips too, so
+// abort-path retirees are freed even when nothing is reclaimable. Object
+// cache eviction is not the daemon's job: the cache evicts on its own
+// insert path (ObjectCache), so its capacity holds with the daemon off.
 
 #ifndef NEOSI_GRAPH_GC_DAEMON_H_
 #define NEOSI_GRAPH_GC_DAEMON_H_

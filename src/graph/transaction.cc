@@ -157,47 +157,45 @@ Status Transaction::CheckWriteConflict(const VersionChain& chain) {
 // Token helpers
 // ---------------------------------------------------------------------------
 
+Result<uint32_t> Transaction::ResolveToken(TokenStore& tokens,
+                                           TokenKind kind,
+                                           const std::string& name,
+                                           bool create) {
+  if (!create) return tokens.Lookup(name, SnapshotTs());
+  bool unlogged = false;
+  auto id = tokens.GetOrCreate(name, start_ts_, &unlogged);
+  if (!id.ok() || !unlogged) return id;
+  const std::pair<TokenStore*, uint32_t> entry{&tokens, *id};
+  if (std::find(logged_tokens_.begin(), logged_tokens_.end(), entry) ==
+      logged_tokens_.end()) {
+    // Replay is idempotent (TokenStore::CreateAt), so a token that two
+    // commits both log is harmless.
+    logged_tokens_.push_back(entry);
+    wal_ops_.push_back(WalOp::CreateToken(kind, *id, name));
+  }
+  return id;
+}
+
 Result<LabelId> Transaction::LabelToken(const std::string& name, bool create) {
-  if (!create) {
-    return engine_->store.labels().Lookup(name, SnapshotTs());
-  }
-  auto existing = engine_->store.labels().Lookup(name);
-  if (existing.ok()) return existing;
-  auto created = engine_->store.labels().GetOrCreate(name, start_ts_);
-  if (created.ok()) {
-    wal_ops_.push_back(WalOp::CreateToken(TokenKind::kLabel, *created, name));
-  }
-  return created;
+  return ResolveToken(engine_->store.labels(), TokenKind::kLabel, name,
+                      create);
 }
 
 Result<PropertyKeyId> Transaction::PropKeyToken(const std::string& name,
                                                 bool create) {
-  if (!create) {
-    return engine_->store.prop_keys().Lookup(name, SnapshotTs());
-  }
-  auto existing = engine_->store.prop_keys().Lookup(name);
-  if (existing.ok()) return existing;
-  auto created = engine_->store.prop_keys().GetOrCreate(name, start_ts_);
-  if (created.ok()) {
-    wal_ops_.push_back(
-        WalOp::CreateToken(TokenKind::kPropertyKey, *created, name));
-  }
-  return created;
+  return ResolveToken(engine_->store.prop_keys(), TokenKind::kPropertyKey,
+                      name, create);
 }
 
 Result<RelTypeId> Transaction::RelTypeToken(const std::string& name,
                                             bool create) {
-  if (!create) {
-    return engine_->store.rel_types().Lookup(name, SnapshotTs());
-  }
-  auto existing = engine_->store.rel_types().Lookup(name);
-  if (existing.ok()) return existing;
-  auto created = engine_->store.rel_types().GetOrCreate(name, start_ts_);
-  if (created.ok()) {
-    wal_ops_.push_back(
-        WalOp::CreateToken(TokenKind::kRelType, *created, name));
-  }
-  return created;
+  return ResolveToken(engine_->store.rel_types(), TokenKind::kRelType, name,
+                      create);
+}
+
+void Transaction::MarkTokensLogged() {
+  for (const auto& [tokens, id] : logged_tokens_) tokens->MarkLogged(id);
+  logged_tokens_.clear();
 }
 
 Result<NamedProperties> Transaction::NameProps(const PropertyMap& props) const {
@@ -1213,6 +1211,7 @@ Status Transaction::Commit() {
     RollbackLocked();
     return lsn.status();
   }
+  MarkTokensLogged();
 
   // Failure injection: crash after WAL append, before store apply. The pin
   // is deliberately NOT released: like a real crash, the record must stay
@@ -1441,6 +1440,7 @@ Status Transaction::CommitTokenOnly() {
       RollbackLocked();
       return lsn.status();
     }
+    MarkTokensLogged();
   }
   // Commit timestamp for a writeless serializable txn: the newest read
   // timestamp bounds everything it observed, which is what peers' danger
@@ -1620,6 +1620,7 @@ void Transaction::RollbackLocked() {
   }
   index_ops_.clear();
   wal_ops_.clear();
+  logged_tokens_.clear();
 
   // SSI: drop out of the tracker (prunes our markers, breaks our edges).
   // Idempotent and a no-op if we already reached kCommitted.

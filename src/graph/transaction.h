@@ -244,10 +244,18 @@ class Transaction {
   Result<std::shared_ptr<const Version>> VisibleNodeVersion(NodeId id);
   Result<std::shared_ptr<const Version>> VisibleRelVersion(RelId id);
 
-  /// Token helpers (log creation to the WAL set; §4 token versioning).
+  /// Token helpers (§4 token versioning). With `create`, a token that no
+  /// appended WAL record carries yet gets its kCreateToken op in this
+  /// transaction's record: the token's creator may abort, and tokens are
+  /// never rolled back, so any committer may be the first to log it.
   Result<LabelId> LabelToken(const std::string& name, bool create);
   Result<PropertyKeyId> PropKeyToken(const std::string& name, bool create);
   Result<RelTypeId> RelTypeToken(const std::string& name, bool create);
+  Result<uint32_t> ResolveToken(TokenStore& tokens, TokenKind kind,
+                                const std::string& name, bool create);
+  /// Marks the tokens this transaction logs as logged, once its WAL record
+  /// is appended.
+  void MarkTokensLogged();
 
   /// Maps internal (token) properties to named properties for views.
   Result<NamedProperties> NameProps(const PropertyMap& props) const;
@@ -339,6 +347,8 @@ class Transaction {
   std::map<EntityKey, WriteRecord> writes_;
   std::vector<IndexOp> index_ops_;
   std::vector<WalOp> wal_ops_;
+  /// Tokens whose kCreateToken op is in `wal_ops_` (see ResolveToken()).
+  std::vector<std::pair<TokenStore*, uint32_t>> logged_tokens_;
   /// Rels created by this txn, per endpoint (merged into adjacency scans so
   /// the transaction reads its own structural writes).
   std::unordered_map<NodeId, std::vector<RelId>> created_rels_by_node_;

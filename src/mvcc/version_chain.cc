@@ -210,6 +210,11 @@ size_t VersionChain::Length() const {
   return n;
 }
 
+bool VersionChain::IsSingleCommitted() const {
+  std::lock_guard<SpinLatch> guard(latch_);
+  return head_ != nullptr && head_->committed() && head_->older == nullptr;
+}
+
 size_t VersionChain::ApproximateBytes() const {
   std::lock_guard<SpinLatch> guard(latch_);
   size_t n = 0;

@@ -104,6 +104,26 @@ class VersionChain {
   /// Number of versions currently in the list.
   size_t Length() const;
 
+  /// True when the chain holds exactly one version and it is committed:
+  /// the store record already holds this state, so the object cache may
+  /// drop the chain and reload it on the next miss.
+  bool IsSingleCommitted() const;
+
+  /// Reference bit of the object cache's CLOCK eviction: a cache hit sets
+  /// it, the hand clears it in passing (ObjectCache). Relaxed: a lost mark
+  /// costs one entry its second chance, nothing more.
+  void MarkReferenced() {
+    if (!referenced_.load(std::memory_order_relaxed)) {
+      referenced_.store(true, std::memory_order_relaxed);
+    }
+  }
+  /// Clears the reference bit; returns whether it was set.
+  bool ClearReferenced() {
+    if (!referenced_.load(std::memory_order_relaxed)) return false;
+    referenced_.store(false, std::memory_order_relaxed);
+    return true;
+  }
+
   bool Empty() const { return Length() == 0; }
 
   /// Approximate heap footprint of every resident version (cache
@@ -114,6 +134,8 @@ class VersionChain {
  private:
   EpochManager& epochs_;
   mutable SpinLatch latch_;
+  /// Sits in the padding after `latch_`, so it costs the chain no bytes.
+  std::atomic<bool> referenced_{false};
   std::shared_ptr<Version> head_;
   /// Raw mirror of `head_` for latch-free traversal; every latched mutation
   /// of `head_` release-stores it here.

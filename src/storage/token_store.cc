@@ -44,21 +44,32 @@ Status ValidateName(const std::string& name) {
 }  // namespace
 
 Result<uint32_t> TokenStore::GetOrCreate(const std::string& name,
-                                         Timestamp created_ts) {
+                                         Timestamp created_ts,
+                                         bool* unlogged) {
   NEOSI_RETURN_IF_ERROR(ValidateName(name));
   {
     ReadGuard guard(latch_);
     auto it = by_name_.find(name);
-    if (it != by_name_.end()) return it->second;
+    if (it != by_name_.end()) {
+      if (unlogged) *unlogged = !by_id_[it->second].logged;
+      return it->second;
+    }
   }
   WriteGuard guard(latch_);
   auto it = by_name_.find(name);
-  if (it != by_name_.end()) return it->second;  // Raced creation.
+  if (it == by_name_.end()) {
+    auto alloc = store_.Allocate();
+    if (!alloc.ok()) return alloc.status();
+    NEOSI_RETURN_IF_ERROR(WriteTokenLocked(*alloc, name, created_ts));
+    it = by_name_.find(name);
+  }
+  if (unlogged) *unlogged = !by_id_[it->second].logged;
+  return it->second;
+}
 
-  auto alloc = store_.Allocate();
-  if (!alloc.ok()) return alloc.status();
-  NEOSI_RETURN_IF_ERROR(WriteTokenLocked(*alloc, name, created_ts));
-  return static_cast<uint32_t>(*alloc);
+void TokenStore::MarkLogged(uint32_t id) {
+  WriteGuard guard(latch_);
+  if (id < by_id_.size()) by_id_[id].logged = true;
 }
 
 Status TokenStore::CreateAt(uint64_t id, const std::string& name,
@@ -69,7 +80,10 @@ Status TokenStore::CreateAt(uint64_t id, const std::string& name,
   }
   WriteGuard guard(latch_);
   if (id < by_id_.size() && by_id_[id].id != kInvalidToken) {
-    if (by_id_[id].name == name) return Status::OK();  // Already replayed.
+    if (by_id_[id].name == name) {  // Already replayed, or loaded.
+      by_id_[id].logged = true;
+      return Status::OK();
+    }
     return Status::Corruption("token id " + std::to_string(id) +
                               " holds " + by_id_[id].name + ", log says " +
                               name);
@@ -81,7 +95,9 @@ Status TokenStore::CreateAt(uint64_t id, const std::string& name,
                               std::to_string(id));
   }
   NEOSI_RETURN_IF_ERROR(store_.EnsureAllocated(id));
-  return WriteTokenLocked(id, name, created_ts);
+  NEOSI_RETURN_IF_ERROR(WriteTokenLocked(id, name, created_ts));
+  by_id_[id].logged = true;
+  return Status::OK();
 }
 
 Status TokenStore::WriteTokenLocked(uint64_t id, const std::string& name,

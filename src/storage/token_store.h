@@ -26,6 +26,9 @@ struct Token {
   uint32_t id = kInvalidToken;
   std::string name;
   Timestamp created_ts = kNoTimestamp;
+  /// In memory only: a committed WAL record of this process carries (or a
+  /// replayed one carried) the token's kCreateToken op.
+  bool logged = false;
 };
 
 /// Thread-safe persistent token registry; tokens are never deleted. The
@@ -41,14 +44,22 @@ class TokenStore {
 
   /// Returns the id for `name`, creating the token with `created_ts` if it
   /// does not exist yet. Creation is immediately persisted (tokens are not
-  /// transactional in Neo4j and are never rolled back).
-  Result<uint32_t> GetOrCreate(const std::string& name, Timestamp created_ts);
+  /// transactional in Neo4j and are never rolled back). Sets `*unlogged`
+  /// when no WAL record is known to carry the token yet: its creator may
+  /// still be running or may have aborted, and a token loaded from the
+  /// store files may never have been logged at all.
+  Result<uint32_t> GetOrCreate(const std::string& name, Timestamp created_ts,
+                               bool* unlogged = nullptr);
+
+  /// Records that an appended WAL record carries token `id`'s creation.
+  void MarkLogged(uint32_t id);
 
   /// WAL replay: writes token `name` at the logged `id`, leaving any lower
   /// unused ids as holes (a replica or a recovered copy must resolve every
   /// logged id exactly as the primary did, whatever the commit order). A
-  /// no-op when `name` already holds `id`; Corruption when a different name
-  /// holds `id` or `name` holds a different id.
+  /// no-op when `name` already holds `id` (several commits may log the same
+  /// token); Corruption when a different name holds `id` or `name` holds a
+  /// different id. Either way the token counts as logged.
   Status CreateAt(uint64_t id, const std::string& name, Timestamp created_ts);
 
   /// Id lookup with snapshot visibility: NotFound if the token is absent OR

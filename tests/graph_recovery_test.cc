@@ -513,12 +513,6 @@ TEST_F(RecoveryTest, TokensSurviveRecovery) {
   EXPECT_TRUE(db->engine().store.prop_keys().Lookup("key1").ok());
 }
 
-// A created-then-deleted entity is annihilated at commit: every one of its
-// WAL ops — including the full-state kNodeState/kRelState ops — must be
-// dropped from the commit record, because its id goes straight back to the
-// free list. A leaked state op would be replayed against whatever live
-// entity later recycled the id, resurrecting the dead entity's payload on
-// top of it.
 // Tokens first used in one order and committed in the other keep their ids
 // across a reopen (replay writes each at its logged id).
 TEST_F(RecoveryTest, TokensCommittedOutOfFirstUseOrderKeepTheirIds) {
@@ -538,6 +532,43 @@ TEST_F(RecoveryTest, TokensCommittedOutOfFirstUseOrderKeepTheirIds) {
   EXPECT_EQ(reader->GetNode(w1)->labels, std::vector<std::string>{"W1"});
 }
 
+// A token written to the token store by a transaction that aborted is in
+// the store files after a reopen, but no WAL record carries it: the first
+// commit that uses it after the reopen must log it, or a replica replaying
+// the WAL cannot resolve the id.
+TEST_F(RecoveryTest, TokenOfAbortedCreatorIsLoggedAfterReopen) {
+  {
+    auto db = std::move(*GraphDatabase::Open(DiskOptions()));
+    auto aborted = db->Begin();
+    ASSERT_TRUE(aborted->CreateNode({"A"}).ok());
+    ASSERT_TRUE(aborted->Abort().ok());
+  }
+  auto db = std::move(*GraphDatabase::Open(DiskOptions()));
+  NodeId b;
+  {
+    auto txn = db->Begin();
+    b = *txn->CreateNode({"A"});
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  DatabaseOptions replica_options;
+  replica_options.in_memory = true;
+  replica_options.replica_of = db->engine().store.wal().dir();
+  replica_options.replica_poll_interval_ms = 0;
+  auto replica = GraphDatabase::Open(replica_options);
+  ASSERT_TRUE(replica.ok()) << replica.status();
+  ASSERT_TRUE((*replica)->replica_applier()->RunOnce().ok());
+  auto reader = (*replica)->Begin();
+  auto view = reader->GetNode(b);
+  ASSERT_TRUE(view.ok()) << view.status();
+  EXPECT_EQ(view->labels, std::vector<std::string>{"A"});
+}
+
+// A created-then-deleted entity is annihilated at commit: every one of its
+// WAL ops — including the full-state kNodeState/kRelState ops — must be
+// dropped from the commit record, because its id goes straight back to the
+// free list. A leaked state op would be replayed against whatever live
+// entity later recycled the id, resurrecting the dead entity's payload on
+// top of it.
 TEST_F(RecoveryTest, AnnihilatedEntityLeavesNoStateInWalReplay) {
   NodeId keep, doomed, reused;
   {

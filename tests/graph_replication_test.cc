@@ -192,6 +192,66 @@ TEST(Replication, AbortedCreatorsTokenIdStaysAHole) {
   EXPECT_EQ(Materialize(replica.get()), Materialize(primary.get()));
 }
 
+// A token whose creator aborts keeps its id, and a later transaction that
+// uses the name must log it: neither a live replica nor a cold replay of the
+// whole WAL would know the id otherwise.
+TEST(Replication, AbortedCreatorsTokenIsLoggedByTheNextCommitter) {
+  auto primary = MustOpen(PrimaryOptions());
+  auto replica = MustOpen(ManualReplicaOptions(primary.get()));
+
+  {
+    auto aborted = primary->Begin();
+    ASSERT_TRUE(aborted->CreateNode({"A"}).ok());
+    ASSERT_TRUE(aborted->Abort().ok());
+  }
+  NodeId b;
+  {
+    auto txn = primary->Begin();
+    b = *txn->CreateNode({"A"});
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  CatchUp(replica.get());
+  auto cold = MustOpen(ManualReplicaOptions(primary.get()));
+  CatchUp(cold.get());
+
+  for (GraphDatabase* copy : {replica.get(), cold.get()}) {
+    auto reader = copy->Begin();
+    auto view = reader->GetNode(b);
+    ASSERT_TRUE(view.ok()) << view.status();
+    EXPECT_EQ(view->labels, std::vector<std::string>{"A"});
+    EXPECT_EQ(Materialize(copy), Materialize(primary.get()));
+  }
+}
+
+// Two transactions that both use a token no record carries yet both log it;
+// replay takes the second copy as a no-op.
+TEST(Replication, TokenLoggedByTwoCommittersReplaysOnce) {
+  auto primary = MustOpen(PrimaryOptions());
+  auto replica = MustOpen(ManualReplicaOptions(primary.get()));
+
+  auto creator = primary->Begin();
+  auto user = primary->Begin();
+  const NodeId first = *creator->CreateNode({"C"}, {{"k", PropertyValue(1)}});
+  const NodeId second = *user->CreateNode({"C"}, {{"k", PropertyValue(2)}});
+  ASSERT_TRUE(user->Commit().ok());
+  ASSERT_TRUE(creator->Commit().ok());
+  NodeId third;
+  {
+    auto txn = primary->Begin();  // The token is logged now: no third copy.
+    third = *txn->CreateNode({"C"}, {{"k", PropertyValue(3)}});
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  CatchUp(replica.get());
+
+  auto reader = replica->Begin();
+  for (NodeId id : {first, second, third}) {
+    auto view = reader->GetNode(id);
+    ASSERT_TRUE(view.ok()) << view.status();
+    EXPECT_EQ(view->labels, std::vector<std::string>{"C"});
+  }
+  EXPECT_EQ(Materialize(replica.get()), Materialize(primary.get()));
+}
+
 TEST(Replication, ReplicaIsReadOnlyWithRetryableStatus) {
   auto primary = MustOpen(PrimaryOptions());
   auto replica = MustOpen(ManualReplicaOptions(primary.get()));
