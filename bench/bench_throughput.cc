@@ -865,69 +865,6 @@ int main() {
                 "strictly.\n");
   }
 
-  Banner("E18: sync-commit ack latency — flusher-owned fsync vs "
-         "leader-inline fsync",
-         "async group flush moves fsync off the commit path: the batch "
-         "leader hands the flusher a target LSN and every participant "
-         "parks on the flushed-LSN watermark, so the seat-holding leader "
-         "stops serializing the next batch behind its own fsync — the ack "
-         "p99 column is the contract, commits/s the sanity check");
-
-  {
-    std::printf("%-10s %8s %12s %10s %10s\n", "flush", "writers",
-                "commits/s", "p50(us)", "p99(us)");
-    for (const bool async_flush : {false, true}) {
-      // A fresh on-disk database per mode: the inline baseline must not
-      // inherit the async mode's pre-allocated segment chain.
-      const std::string dir = MakeTempDir();
-      if (dir.empty()) {
-        std::printf("skipped: cannot create temp dir\n");
-        continue;
-      }
-      DatabaseOptions options;
-      options.in_memory = false;
-      options.path = dir;
-      options.sync_commits = true;
-      options.background_gc_interval_ms = 10;
-      options.wal_async_flush = async_flush;
-      options.wal_preallocate = async_flush;
-      auto opened = GraphDatabase::Open(options);
-      if (!opened.ok()) {
-        std::printf("skipped: %s\n", opened.status().ToString().c_str());
-        continue;
-      }
-      auto db = std::move(*opened);
-      auto nodes = BuildFlatNodes(*db, Scaled(4096));
-      if (!nodes.ok()) {
-        std::printf("skipped: %s\n", nodes.status().ToString().c_str());
-        continue;
-      }
-      const char* mode = async_flush ? "async" : "inline";
-      for (int threads : {1, 2, 4, 8}) {
-        const DriverResult r = RunCommitScalingCell(*db, *nodes, threads,
-                                                    duration_ms,
-                                                    /*writes_per_txn=*/2);
-        std::printf("%-10s %8d %12.0f %10llu %10llu\n", mode, threads,
-                    r.Throughput(),
-                    static_cast<unsigned long long>(
-                        r.latency_ns.Percentile(50) / 1000),
-                    static_cast<unsigned long long>(
-                        r.latency_ns.Percentile(99) / 1000));
-        char config[64];
-        std::snprintf(config, sizeof(config), "%s/sync_ack", mode);
-        Record("commit_io_flush", config, threads, r);
-      }
-    }
-    std::printf("\nexpected shape (multi-core): async ack p99 at 4-8 "
-                "writers sits below inline (waiters park on the watermark "
-                "instead of queueing behind a seat-holding leader's fsync), "
-                "at one writer the two modes are within noise (someone "
-                "still pays every fsync). On a single-core box the flusher "
-                "timeshares the core with the writers, so judge the "
-                "columns loosely there; the stable signal is that async is "
-                "never categorically worse.\n");
-  }
-
   Banner("E19: network session front-end — in-process vs socket, "
          "latency & throughput",
          "the same read-modify-write transaction driven through the "

@@ -19,13 +19,6 @@ import argparse
 import json
 import sys
 
-# Sections that stay advisory even under --hard-fail. E18's flusher-vs-
-# inline contrast (commit_io_flush) only exists with real core parallelism:
-# on the single-core runner the flusher thread timeshares with the writers,
-# so its ack-latency cells swing far past the threshold from scheduler
-# noise alone.
-ADVISORY_SECTIONS = {"commit_io_flush"}
-
 
 def load_cells(path):
     with open(path) as f:
@@ -77,11 +70,7 @@ def main():
         if prev is None or drop > prev[0]:
             worst_by_section[section] = (drop, key)
         if drop > args.threshold:
-            if section in ADVISORY_SECTIONS:
-                print(f"  note: advisory section cell {key} dropped "
-                      f"{drop * 100:.1f}% (never fails the check)")
-            else:
-                regressions.append((key, base_tps, fresh_tps, drop))
+            regressions.append((key, base_tps, fresh_tps, drop))
     for key in sorted(fresh.keys() - baseline.keys()):
         print(f"  note: new cell {key} has no baseline yet")
 

@@ -207,33 +207,13 @@ struct DatabaseOptions {
   uint64_t wal_keep_segments = 0;
 
   /// fsync the WAL on every commit (grouped: concurrent committers share
-  /// one fsync per batch through the GroupCommitter). Default: false — the
+  /// one fsync per batch through the GroupCommitter, whose batch leader
+  /// runs it inline before acking the batch). Default: false — the
   /// experiments measure concurrency-control behaviour, not disk stalls.
+  /// Sync failures are STICKY: after any WAL fsync/dir-sync error every
+  /// later commit fails with a non-retryable IOError until the store is
+  /// reopened (see docs/OPERATIONS.md, durability invariants).
   bool sync_commits = false;
-
-  /// Hand WAL fsyncs to a dedicated flusher thread: the group-commit
-  /// leader enqueues a flush target and releases the leader seat, and
-  /// commit acks wait on the flushed-LSN watermark — the next batch forms
-  /// while the previous one's fsync runs. Default: true. False restores
-  /// the leader-fsync-inline baseline (the E18 bench comparison). Only
-  /// observable with sync_commits. Sync failures are STICKY either way:
-  /// after any WAL fsync/dir-sync error every later commit fails with a
-  /// non-retryable IOError until the store is reopened (see
-  /// docs/OPERATIONS.md, durability invariants).
-  bool wal_async_flush = true;
-
-  /// Keep the next WAL segment file pre-created (recycled or
-  /// fallocate-reserved) by the flusher thread so a segment roll is an
-  /// atomic-rename adoption instead of a create+header+fsync on the append
-  /// path. Default: true.
-  bool wal_preallocate = true;
-
-  /// Most commit records a group-commit leader folds into one batched
-  /// append/fsync; later arrivals elect the next leader. Default: 0 = AUTO
-  /// (max(8, 4 * hardware_concurrency), capped at 256) — enough to absorb
-  /// every plausibly-runnable committer without letting a burst build a
-  /// batch whose ack latency is dominated by its own tail.
-  size_t group_commit_max_batch = 0;
 
   // --- replication (read replicas) -----------------------------------------
 
@@ -307,14 +287,6 @@ struct DatabaseOptions {
   size_t ResolvedSsiMarkerShards() const {
     if (ssi_marker_shards == 0) return 64;
     return std::clamp<size_t>(ssi_marker_shards, 1, 64);
-  }
-
-  /// group_commit_max_batch with auto resolved: max(8, 4 * cores), capped
-  /// at 256.
-  size_t ResolvedGroupCommitBatch() const {
-    if (group_commit_max_batch != 0) return group_commit_max_batch;
-    const size_t hw = std::thread::hardware_concurrency();
-    return std::clamp<size_t>(4 * hw, 8, 256);
   }
 };
 

@@ -162,9 +162,6 @@ Status GraphStore::Open() {
   wal_options.segment_size = options_.wal_segment_size;
   wal_options.recycle_segments = options_.wal_recycle_segments;
   wal_options.keep_segments = options_.wal_keep_segments;
-  wal_options.async_flush = options_.wal_async_flush;
-  wal_options.preallocate = options_.wal_preallocate;
-  wal_options.group_commit_max_batch = options_.ResolvedGroupCommitBatch();
   wal_ = std::make_unique<Wal>(std::move(wal_dir), wal_options);
   return wal_->Open();
 }
@@ -1115,7 +1112,6 @@ GraphStoreStats GraphStore::Stats() const {
   stats.wal_segments_deleted = wal_->segments_deleted();
   stats.wal_segments_recycled = wal_->segments_recycled();
   stats.wal_segments_reused = wal_->segments_reused();
-  stats.wal_segments_preallocated = wal_->segments_preallocated();
   stats.wal_flushed_lsn = wal_->FlushedLsn();
   stats.wal_poisoned = wal_->poisoned();
   stats.dyn_leaked_blocks = dyn_leaked_blocks_.load(std::memory_order_relaxed);

@@ -75,10 +75,10 @@ struct GraphStoreStats {
   uint64_t wal_segments_deleted = 0;    ///< Dead segments unlinked outright.
   uint64_t wal_segments_recycled = 0;   ///< Dead segments parked for reuse.
   uint64_t wal_segments_reused = 0;     ///< Segments taken out of the pool.
-  uint64_t wal_segments_preallocated = 0;  ///< Rolls that adopted a prebuilt file.
-  /// Commit I/O state: the flushed-LSN watermark acks wait on, and the
-  /// sticky-failure flag (true after any WAL fsync/dir-sync error — every
-  /// later commit fails until the store is reopened).
+  /// Commit I/O state: the flushed-LSN watermark (every frame below it is
+  /// durable), and the sticky-failure flag (true after any WAL
+  /// fsync/dir-sync error — every later commit fails until the store is
+  /// reopened).
   uint64_t wal_flushed_lsn = 0;
   bool wal_poisoned = false;
   /// Dynamic-store blocks in use but unreachable from any live property

@@ -3,9 +3,6 @@
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#if defined(__linux__)
-#include <linux/falloc.h>
-#endif
 
 #include <cerrno>
 #include <cstring>
@@ -115,24 +112,6 @@ Status PosixFile::Truncate(uint64_t size) {
     return Status::IOError("ftruncate " + path_ + ": " + strerror(errno));
   }
   MarkDirty();
-  return Status::OK();
-}
-
-Status PosixFile::Preallocate(uint64_t size) {
-  if (size == 0) return Status::OK();
-#if defined(__linux__) && defined(FALLOC_FL_KEEP_SIZE)
-  if (::fallocate(fd_, FALLOC_FL_KEEP_SIZE, 0,
-                  static_cast<off_t>(size)) != 0) {
-    // Advisory on filesystems without allocation support (tmpfs predates
-    // it on some kernels); a real out-of-space must surface, though — the
-    // caller falls back to an unreserved segment.
-    if (errno != EOPNOTSUPP && errno != ENOTSUP && errno != EINVAL) {
-      return Status::IOError("fallocate " + path_ + ": " + strerror(errno));
-    }
-  }
-#else
-  (void)size;
-#endif
   return Status::OK();
 }
 

@@ -33,16 +33,6 @@ class PagedFile {
   /// Flushes to stable storage (no-op for the in-memory backend).
   virtual Status Sync() = 0;
 
-  /// Reserves physical storage for the first `size` bytes WITHOUT changing
-  /// the file size (fallocate KEEP_SIZE where supported), so later writes
-  /// into the range cannot fail with ENOSPC and extend cheaply. Advisory:
-  /// backends without allocation support return OK and do nothing. The WAL
-  /// flusher uses this to build the next segment off the append path.
-  virtual Status Preallocate(uint64_t size) {
-    (void)size;
-    return Status::OK();
-  }
-
   /// True when writes have landed since the last SyncIfDirty() (or since
   /// open). Fuzzy checkpoints use this to sync only stores that changed.
   bool dirty() const { return dirty_.load(std::memory_order_acquire); }
@@ -105,9 +95,6 @@ class PosixFile final : public PagedFile {
   Status Truncate(uint64_t size) override;
   uint64_t Size() const override;
   Status Sync() override;
-  /// fallocate(KEEP_SIZE) / posix_fallocate where supported; silently a
-  /// no-op on filesystems without allocation support.
-  Status Preallocate(uint64_t size) override;
 
  private:
   explicit PosixFile(int fd, std::string path)

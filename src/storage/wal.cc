@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "common/coding.h"
@@ -77,18 +78,12 @@ std::string Wal::FreeName(uint64_t index) {
   return IndexedName("wal.free.", index);
 }
 
-std::string Wal::PrepName(uint64_t seq) {
-  return IndexedName("wal.prep.", seq);
-}
-
 Wal::Wal(std::shared_ptr<WalDir> dir, WalOptions options)
     : dir_(std::move(dir)), options_(options) {
   if (options_.segment_size < kSegmentHeaderSize + kFrameHeader) {
     options_.segment_size = kSegmentHeaderSize + kFrameHeader;
   }
 }
-
-Wal::~Wal() { StopFlusher(); }
 
 // --- sticky poison state --------------------------------------------------
 
@@ -100,13 +95,13 @@ Status Wal::PoisonedStatusLocked() const {
 
 Status Wal::PoisonedStatus() const {
   if (!poisoned_.load(std::memory_order_acquire)) return Status::OK();
-  std::lock_guard<std::mutex> guard(flush_mu_);
+  std::lock_guard<std::mutex> guard(poison_mu_);
   return PoisonedStatusLocked();
 }
 
 Status Wal::CheckPoisoned() const {
   if (!poisoned_.load(std::memory_order_acquire)) return Status::OK();
-  std::lock_guard<std::mutex> guard(flush_mu_);
+  std::lock_guard<std::mutex> guard(poison_mu_);
   return PoisonedStatusLocked();
 }
 
@@ -114,21 +109,13 @@ void Wal::Poison(const Status& cause) {
   // Recovery-time failures stay fail-stop: Open() itself errors out and no
   // state survives to need poisoning.
   if (!open_complete_.load(std::memory_order_acquire)) return;
-  std::vector<std::shared_ptr<FlushWaiter>> wake;
-  {
-    std::lock_guard<std::mutex> guard(flush_mu_);
-    if (!poisoned_.load(std::memory_order_relaxed)) {
-      poison_cause_ = cause;
-      // RELEASE-publish after the cause is recorded: CheckPoisoned()'s
-      // acquire load then always finds the cause it is about to report.
-      poisoned_.store(true, std::memory_order_release);
-    }
-    // Fail every parked commit ack whose flush will now never happen.
-    for (auto& [lsn, waiter] : flush_waiters_) wake.push_back(waiter);
-    flush_waiters_.clear();
+  std::lock_guard<std::mutex> guard(poison_mu_);
+  if (!poisoned_.load(std::memory_order_relaxed)) {
+    poison_cause_ = cause;
+    // RELEASE-publish after the cause is recorded: CheckPoisoned()'s
+    // acquire load then always finds the cause it is about to report.
+    poisoned_.store(true, std::memory_order_release);
   }
-  for (auto& waiter : wake) waiter->cv.notify_all();
-  flush_cv_.notify_all();
 }
 
 Status Wal::WriteSegmentHeader(PagedFile* file, Lsn base, uint64_t epoch) {
@@ -162,14 +149,6 @@ Status Wal::ReadSegmentHeader(PagedFile* file, Lsn* base, uint64_t* epoch,
 }
 
 Status Wal::AddSegmentLocked(Lsn base) {
-  {
-    std::unique_ptr<PreparedSegment> prep;
-    {
-      std::lock_guard<std::mutex> guard(seg_mu_);
-      prep = std::move(prepared_);
-    }
-    if (prep != nullptr) return AdoptPreparedLocked(base, std::move(prep));
-  }
   const uint64_t index = next_index_;
   const std::string name = SegmentName(index);
   std::string free_name;
@@ -260,69 +239,6 @@ Status Wal::AddSegmentLocked(Lsn base) {
   return Status::OK();
 }
 
-Status Wal::AdoptPreparedLocked(Lsn base,
-                                std::unique_ptr<PreparedSegment> prep) {
-  const uint64_t index = next_index_;
-  const std::string name = SegmentName(index);
-  Status s;
-  // At most ONE adoption rename may be un-dir-synced at a time: if the
-  // previous one is still pending, make it durable before renaming again —
-  // otherwise a crash could persist THIS rename but not the previous one
-  // and leave an index gap Open() rightly refuses.
-  if (dir_sync_pending_.exchange(false, std::memory_order_acq_rel)) {
-    s = fault_hooks.Check("wal.dirsync.rename");
-    if (s.ok()) s = dir_->SyncDir();
-    if (!s.ok()) {
-      dir_sync_pending_.store(true, std::memory_order_release);
-      Poison(s);
-      return s;
-    }
-  }
-  s = dir_->Rename(prep->name, name);
-  if (s.ok()) {
-    // BUFFERED header write — no fsync on the append path. Safe to defer:
-    // an ack requires a flush of this (about to be active) file, and that
-    // same fsync covers the header. A crash before any flush leaves an
-    // invalid header on the NEWEST segment, which Open() discards — and
-    // nothing acked can have lived there.
-    s = WriteSegmentHeader(prep->file.get(), base, epoch_);
-  }
-  if (s.ok()) s = fault_hooks.Check("wal.segment.post_create");
-  if (!s.ok()) {
-    // Same cleanup contract as the inline path: the file must not squat in
-    // the chain position while the process keeps running. If the rename
-    // itself failed the prep name survives instead — remove that.
-    prep->file.reset();
-    (void)dir_->Remove(name);
-    (void)dir_->Remove(prep->name);
-    (void)dir_->SyncDir();
-    NudgeFlusherPrep();
-    return s;
-  }
-  // The rename's dir entry rides the flusher's next pass (or the next
-  // roll, whichever comes first).
-  dir_sync_pending_.store(true, std::memory_order_release);
-
-  auto segment = std::make_unique<Segment>();
-  segment->index = index;
-  segment->base = base;
-  segment->epoch = epoch_;
-  segment->file = std::move(prep->file);
-  {
-    std::lock_guard<std::mutex> guard(seg_mu_);
-    segments_.push_back(std::move(segment));
-    active_.store(segments_.back().get(), std::memory_order_release);
-    segment_count_.store(segments_.size(), std::memory_order_release);
-  }
-  next_index_ = index + 1;
-  if (!prep->from_free_pool) {
-    segments_created_.fetch_add(1, std::memory_order_relaxed);
-  }
-  segments_preallocated_.fetch_add(1, std::memory_order_relaxed);
-  NudgeFlusherPrep();
-  return Status::OK();
-}
-
 Status Wal::SyncRetiringLocked(Segment* retiring) {
   Status fault = fault_hooks.Check("wal.sync.retiring");
   if (!fault.ok()) {
@@ -343,7 +259,6 @@ Status Wal::Open() {
                      std::memory_order_release);
   // From here on sync failures poison instead of failing the open.
   open_complete_.store(true, std::memory_order_release);
-  StartFlusher();
   return Status::OK();
 }
 
@@ -374,10 +289,9 @@ Status Wal::OpenChain() {
     // Anything else in the directory (store files) is not ours.
   }
 
-  // Stale pre-allocations from the previous life — headerless scratch, or
-  // an adoption whose rename never became durable (then the frames in it
-  // were never flushed-acked, see the adoption protocol). Either way: not
-  // part of the chain, remove.
+  // Segment files an earlier version pre-allocated and never adopted into
+  // the chain (at most one per directory, headerless): not part of the
+  // chain, remove.
   for (const std::string& name : prep_names) {
     NEOSI_RETURN_IF_ERROR(dir_->Remove(name));
   }
@@ -521,9 +435,7 @@ Status Wal::WriteFrameAtLocked(Lsn lsn, const char* data, size_t n) {
     // Roll: the retiring segment is synced BEFORE the new one enters the
     // chain, so a valid-prefix walk can stop early only in the newest
     // segment. (A frame larger than a whole segment gets one to itself —
-    // the roll happens, the oversized write below still succeeds.) This
-    // sync stays on the append path even with a flusher: older segments
-    // must be fully durable before the chain grows past them.
+    // the roll happens, the oversized write below still succeeds.)
     NEOSI_RETURN_IF_ERROR(SyncRetiringLocked(active));
     NEOSI_RETURN_IF_ERROR(AddSegmentLocked(lsn));
     active = active_.load(std::memory_order_relaxed);
@@ -678,35 +590,23 @@ Status Wal::AppendBatch(const std::vector<const WalRecord*>& records,
   return Status::OK();
 }
 
-Status Wal::Sync() {
-  NEOSI_RETURN_IF_ERROR(CheckPoisoned());
-  if (UseAsyncFlush()) {
-    const Lsn target = next_lsn_.load(std::memory_order_acquire);
-    NEOSI_RETURN_IF_ERROR(RequestFlush(target));
-    return WaitFlushed(target);
-  }
-  return FlushOnce();
-}
-
 void Wal::SimulateSyncLoss(const std::shared_ptr<PagedFile>& file, Lsn base) {
   // After a failed fsync the kernel keeps the file's CLEAN pages (anything
   // a previous successful fsync covered) but drops the dirty ones — a later
   // fsync returning OK says nothing about them. Model that by truncating
-  // everything beyond the flushed watermark; when no flush ever covered
-  // this segment, even its header's durability is unknown (adoption writes
-  // it buffered), so the whole file goes.
+  // every frame beyond the flushed watermark. The header survives: it was
+  // fsynced before the segment entered the chain.
   const Lsn flushed = flushed_lsn_.load(std::memory_order_acquire);
   const uint64_t keep =
-      flushed > base ? kSegmentHeaderSize + (flushed - base) : 0;
+      kSegmentHeaderSize + (flushed > base ? flushed - base : 0);
   if (file->Size() > keep) (void)file->Truncate(keep);
 }
 
-Status Wal::FlushOnce() {
+Status Wal::Sync() {
   // Serialized: one syncer's fault-check → page-drop → poison-publish
   // sequence is atomic against a peer's fsync, so no fsync can observe a
   // healthy file, miss the poison flag, and report OK after a peer's EIO
-  // already dropped pages (the satellite race: two inline Sync()s, one
-  // injected).
+  // already dropped pages (two concurrent Sync()s, one injected).
   std::lock_guard<std::mutex> sync_guard(sync_mu_);
   NEOSI_RETURN_IF_ERROR(CheckPoisoned());
   // Cursor FIRST, file snapshot second: any frame below the cursor read
@@ -723,10 +623,7 @@ Status Wal::FlushOnce() {
   Lsn base = 0;
   {
     std::lock_guard<std::mutex> guard(seg_mu_);
-    if (segments_.empty()) {
-      AdvanceFlushed(durable_upto);
-      return Status::OK();
-    }
+    if (segments_.empty()) return Status::OK();  // Never opened.
     file = segments_.back()->file;
     base = segments_.back()->base;
   }
@@ -741,182 +638,12 @@ Status Wal::FlushOnce() {
     Poison(s);
     return s;
   }
-  // File BEFORE directory: once the deferred dir-sync lands, the adopted
-  // segment's header is already durable, so a crash can never leave a
-  // durable dir entry pointing at a headerless file that is not the newest.
-  if (dir_sync_pending_.exchange(false, std::memory_order_acq_rel)) {
-    Status d = fault_hooks.Check("wal.dirsync.rename");
-    if (d.ok()) d = dir_->SyncDir();
-    if (!d.ok()) {
-      dir_sync_pending_.store(true, std::memory_order_release);
-      Poison(d);
-      return d;
-    }
+  // Plain store: passes are serialized by sync_mu_ and the cursor never
+  // moves backwards outside single-threaded recovery.
+  if (durable_upto > flushed_lsn_.load(std::memory_order_relaxed)) {
+    flushed_lsn_.store(durable_upto, std::memory_order_release);
   }
-  AdvanceFlushed(durable_upto);
   return Status::OK();
-}
-
-Status Wal::RequestFlush(Lsn target) {
-  NEOSI_RETURN_IF_ERROR(CheckPoisoned());
-  {
-    std::lock_guard<std::mutex> guard(flush_mu_);
-    if (target > flush_target_) flush_target_ = target;
-  }
-  flush_cv_.notify_all();
-  return Status::OK();
-}
-
-Status Wal::WaitFlushed(Lsn target) {
-  if (flushed_lsn_.load(std::memory_order_acquire) >= target) {
-    return Status::OK();
-  }
-  std::unique_lock<std::mutex> lock(flush_mu_);
-  for (;;) {
-    // Watermark first: data that made it to disk stays acked even if the
-    // log was poisoned a moment later.
-    if (flushed_lsn_.load(std::memory_order_acquire) >= target) {
-      return Status::OK();
-    }
-    if (poisoned_.load(std::memory_order_acquire)) {
-      return PoisonedStatusLocked();
-    }
-    auto& ref = flush_waiters_[target];
-    if (ref == nullptr) ref = std::make_shared<FlushWaiter>();
-    std::shared_ptr<FlushWaiter> slot = ref;  // Pin across the erase.
-    slot->cv.wait(lock);
-  }
-}
-
-void Wal::AdvanceFlushed(Lsn upto) {
-  std::vector<std::shared_ptr<FlushWaiter>> wake;
-  {
-    std::lock_guard<std::mutex> guard(flush_mu_);
-    if (upto <= flushed_lsn_.load(std::memory_order_relaxed)) return;
-    flushed_lsn_.store(upto, std::memory_order_release);
-    const auto end = flush_waiters_.upper_bound(upto);
-    for (auto it = flush_waiters_.begin(); it != end; ++it) {
-      wake.push_back(it->second);
-    }
-    flush_waiters_.erase(flush_waiters_.begin(), end);
-  }
-  for (auto& waiter : wake) waiter->cv.notify_all();
-}
-
-void Wal::NudgeFlusherPrep() {
-  if (!options_.preallocate ||
-      !flusher_running_.load(std::memory_order_acquire)) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> guard(flush_mu_);
-    prep_nudge_ = true;
-  }
-  flush_cv_.notify_all();
-}
-
-void Wal::PrepareSegmentOffPath() {
-  if (poisoned_.load(std::memory_order_acquire)) return;
-  auto prep = std::make_unique<PreparedSegment>();
-  {
-    std::lock_guard<std::mutex> guard(seg_mu_);
-    if (prepared_ != nullptr) return;
-    if (!free_pool_.empty()) {
-      prep->name = free_pool_.front();
-      free_pool_.pop_front();
-      prep->from_free_pool = true;
-      // Counted as it leaves the pool, so recycled - reused stays the
-      // pool's occupancy while the prepared segment waits for a roll.
-      segments_reused_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (!prep->from_free_pool) prep->name = PrepName(prep_seq_++);
-  std::unique_ptr<PagedFile> file;
-  Status s = dir_->Open(prep->name, &file);
-  if (s.ok()) s = file->Truncate(0);
-  if (s.ok()) s = file->Preallocate(options_.segment_size);
-  if (!s.ok()) {
-    // Allocation-class failure (ENOSPC and friends): abandon the prep —
-    // the next roll falls back to the inline path, which may still succeed
-    // with a plain sparse file. Not a durability statement, so no poison.
-    file.reset();
-    std::lock_guard<std::mutex> guard(seg_mu_);
-    if (prep->from_free_pool) {
-      free_pool_.push_front(prep->name);
-      segments_reused_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    return;
-  }
-  s = file->Sync();
-  if (s.ok() && !prep->from_free_pool) {
-    // Fresh file: make its dir entry durable off-path so adoption's only
-    // directory work is the rename.
-    s = fault_hooks.Check("wal.dirsync.create");
-    if (s.ok()) s = dir_->SyncDir();
-  }
-  if (!s.ok()) {
-    // An fsync/dir-sync failure in the WAL directory IS a durability
-    // statement: fail sticky, same as on-path syncs.
-    file.reset();
-    (void)dir_->Remove(prep->name);
-    Poison(s);
-    return;
-  }
-  prep->file = std::move(file);
-  std::lock_guard<std::mutex> guard(seg_mu_);
-  prepared_ = std::move(prep);
-}
-
-void Wal::StartFlusher() {
-  if (!(options_.async_flush || options_.preallocate)) return;
-  if (flusher_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> guard(flush_mu_);
-    flusher_stop_ = false;
-    prep_nudge_ = options_.preallocate;
-  }
-  flusher_ = std::thread([this] { FlusherMain(); });
-  flusher_running_.store(true, std::memory_order_release);
-}
-
-void Wal::StopFlusher() {
-  if (!flusher_.joinable()) return;
-  flusher_running_.store(false, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> guard(flush_mu_);
-    flusher_stop_ = true;
-  }
-  flush_cv_.notify_all();
-  flusher_.join();
-}
-
-void Wal::FlusherMain() {
-  std::unique_lock<std::mutex> lock(flush_mu_);
-  for (;;) {
-    flush_cv_.wait(lock, [this] {
-      if (flusher_stop_) return true;
-      if (poisoned_.load(std::memory_order_relaxed)) return false;
-      if (flush_target_ > flushed_lsn_.load(std::memory_order_relaxed)) {
-        return true;
-      }
-      return options_.preallocate && prep_nudge_;
-    });
-    if (flusher_stop_) return;
-    if (flush_target_ > flushed_lsn_.load(std::memory_order_relaxed)) {
-      lock.unlock();
-      // Failure poisons inside FlushOnce, which also fails every waiter —
-      // nothing further to do here; the predicate goes quiet.
-      (void)FlushOnce();
-      lock.lock();
-      continue;
-    }
-    if (prep_nudge_) {
-      prep_nudge_ = false;
-      lock.unlock();
-      PrepareSegmentOffPath();
-      lock.lock();
-    }
-  }
 }
 
 void Wal::Unpin(Lsn lsn) {
@@ -1021,23 +748,10 @@ Status Wal::TruncatePrefix(Lsn lsn) {
   return Status::OK();
 }
 
-Result<Lsn> GroupCommitter::Finish(const Request& req) {
-  if (!req.status.ok()) return req.status;
-  if (req.flush_target != 0) {
-    // Async hand-off: the leader only REQUESTED the flush — the ack waits
-    // out the watermark here, on the requester's own thread, while the
-    // next batch is already forming.
-    Status flushed = wal_->WaitFlushed(req.flush_target);
-    if (!flushed.ok()) {
-      // Same contract as the inline failure path below: the caller rolls
-      // back a commit that "didn't happen", so its pin must not freeze
-      // StableLsn() forever.
-      if (req.pin) wal_->Unpin(req.lsn);
-      return flushed;
-    }
-  }
-  return req.lsn;
-}
+GroupCommitter::GroupCommitter(Wal* wal)
+    : wal_(wal),
+      max_batch_(std::clamp<size_t>(4 * std::thread::hardware_concurrency(),
+                                    8, 256)) {}
 
 Result<Lsn> GroupCommitter::Commit(const WalRecord& record, bool sync,
                                    bool pin) {
@@ -1057,15 +771,15 @@ Result<Lsn> GroupCommitter::Commit(const WalRecord& record, bool sync,
   // Wait until a leader has handled us, or until the leader seat is free and
   // our request is still queued (then we take the seat ourselves).
   while (!req.done && leader_active_) cv_.wait(lock);
-  if (req.done) return Finish(req);
+  if (req.done) {
+    if (!req.status.ok()) return req.status;
+    return req.lsn;
+  }
 
   leader_active_ = true;
-  // Fold at most max_batch queued requests into this write; the remainder
-  // elects the next leader as soon as the seat frees (which, in async-flush
-  // mode, is before this batch's fsync even completes).
-  size_t take = queue_.size();
-  const size_t cap = wal_->options_.group_commit_max_batch;
-  if (cap != 0 && cap < take) take = cap;
+  // Fold at most max_batch_ queued requests into this write; the remainder
+  // elects the next leader once this batch's append and fsync are done.
+  const size_t take = std::min(queue_.size(), max_batch_);
   std::vector<Request*> batch(queue_.begin(),
                               queue_.begin() + static_cast<long>(take));
   queue_.erase(queue_.begin(), queue_.begin() + static_cast<long>(take));
@@ -1083,19 +797,8 @@ Result<Lsn> GroupCommitter::Commit(const WalRecord& record, bool sync,
   }
   std::vector<Lsn> lsns;
   Status write_status = wal_->AppendBatch(records, &lsns, &pins);
-  const bool async = wal_->UseAsyncFlush();
   Status sync_status;
-  Lsn flush_target = 0;
-  if (write_status.ok() && want_sync) {
-    if (async) {
-      // Hand the fsync to the flusher and release the leader seat: the
-      // batch's acks wait on the watermark in Finish(), off this thread.
-      flush_target = wal_->NextLsn();
-      sync_status = wal_->RequestFlush(flush_target);
-    } else {
-      sync_status = wal_->Sync();
-    }
-  }
+  if (write_status.ok() && want_sync) sync_status = wal_->Sync();
 
   if (batch.size() > 1) batches_.fetch_add(1, std::memory_order_relaxed);
   records_.fetch_add(batch.size(), std::memory_order_relaxed);
@@ -1113,8 +816,6 @@ Result<Lsn> GroupCommitter::Commit(const WalRecord& record, bool sync,
         // here or StableLsn() would be frozen at this lsn forever (the
         // caller never learns the lsn of a commit that "didn't happen").
         if (r->pin) wal_->Unpin(lsns[i]);
-      } else if (r->sync && flush_target != 0) {
-        r->flush_target = flush_target;
       }
     }
     r->done = true;
@@ -1123,7 +824,8 @@ Result<Lsn> GroupCommitter::Commit(const WalRecord& record, bool sync,
   lock.unlock();
   cv_.notify_all();
 
-  return Finish(req);
+  if (!req.status.ok()) return req.status;
+  return req.lsn;
 }
 
 Status Wal::ReadFrom(Lsn from,

@@ -45,15 +45,15 @@
 // Group commit and LSN pins are unchanged from the single-file WAL: see
 // GroupCommitter and StableLsn() below.
 //
-// Commit I/O (async flush, sticky failure, pre-allocation):
+// Commit I/O (inline group flush, sticky failure):
 //
-// With WalOptions::async_flush a dedicated flusher thread owns every fsync
-// of the active chain. The group-commit leader appends its batch, hands the
-// flusher a target LSN (RequestFlush) and releases the leader seat — the
-// next batch forms while the fsync runs. Every committer then blocks in
-// WaitFlushed(target) on a flushed-LSN watermark with per-LSN wait slots
-// (the TimestampOracle pattern), so an ack is issued only once the fsync
-// that covered the record has completed.
+// A durable commit is acked only after the fsync that covers its record has
+// completed. The group-commit leader holds the leader seat through its
+// batch's append AND fsync (Sync(), on its own thread); the batch's
+// followers wake once both are done, and the next batch forms behind them.
+// Each fsync pass reads the append cursor first and snapshots the active
+// file second, so the flushed-LSN watermark it publishes never runs ahead of
+// the bytes the fsync covered.
 //
 // Sync failures are STICKY: once any fsync/dir-sync of the active chain
 // fails, the log is poisoned — every subsequent append/sync/ack fails with
@@ -64,16 +64,10 @@
 // hole). Recovery-time syncs (inside Open) keep their fail-stop
 // behaviour: the open simply fails, nothing is poisoned.
 //
-// With WalOptions::preallocate the flusher also keeps the NEXT segment
-// file ready off-path (recycled or freshly created, fallocate-reserved,
-// dir-synced): a roll adopts it with one rename plus a BUFFERED header
-// write, deferring both the header fsync and the rename's dir-sync to the
-// flusher's next pass. Deferral is safe because an ack requires a flush,
-// and the flusher always syncs the file before the directory — an acked
-// frame therefore implies both its segment's header and its dir entry are
-// durable. At most one adoption rename may be outstanding: the next roll
-// dir-syncs the previous one inline first, so a crash can only ever lose
-// the NEWEST segment's dir entry and the chain stays contiguous.
+// A roll runs inline on the append path: the retiring segment is fsynced,
+// then the next segment (recycled from the free pool or freshly created)
+// gets its header written and fsynced, and the directory is synced, all
+// before the segment enters the chain and takes a frame.
 
 #ifndef NEOSI_STORAGE_WAL_H_
 #define NEOSI_STORAGE_WAL_H_
@@ -82,12 +76,10 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/latch.h"
@@ -111,20 +103,6 @@ struct WalOptions {
   /// prefix so a lagging replica can still read them (0 = retire eagerly).
   /// TruncatePrefix keeps this many extra segments below the cut.
   uint64_t keep_segments = 0;
-  /// Dedicated flusher thread owns fsync: Sync() and the group committer
-  /// hand off a target LSN and acks wait on the flushed-LSN watermark
-  /// instead of the leader blocking in fsync. Default OFF at this layer so
-  /// raw-Wal unit tests keep deterministic inline syncs; DatabaseOptions
-  /// turns it on for the engine.
-  bool async_flush = false;
-  /// Flusher keeps the next segment pre-created (recycled or
-  /// fallocate-reserved) so a roll is a rename adoption, never a
-  /// create+header+sync on the append path. Default OFF at this layer,
-  /// like async_flush.
-  bool preallocate = false;
-  /// Most records a group-commit leader folds into one batch (0 =
-  /// unbounded). DatabaseOptions sizes this from hardware_concurrency.
-  size_t group_commit_max_batch = 0;
 };
 
 /// Named crash-point hook (tests only; never set on production paths). When
@@ -132,8 +110,8 @@ struct WalOptions {
 /// non-OK status as the process dying right there: the operation fails
 /// without performing any further writes, and the test reopens the store to
 /// exercise recovery from exactly that state.
-/// Thread-safe: tests install hooks right after open, while the WAL's
-/// flusher thread may already be evaluating sync-path fault points.
+/// Thread-safe: tests install hooks right after open, while the checkpoint
+/// and GC daemons may already be evaluating fault points concurrently.
 struct FaultHooks {
   using Fn = std::function<Status(const char* point)>;
   void Set(Fn f) {
@@ -161,7 +139,7 @@ struct FaultHooks {
 /// synced — its record.
 class GroupCommitter {
  public:
-  explicit GroupCommitter(Wal* wal) : wal_(wal) {}
+  explicit GroupCommitter(Wal* wal);
 
   GroupCommitter(const GroupCommitter&) = delete;
   GroupCommitter& operator=(const GroupCommitter&) = delete;
@@ -184,17 +162,14 @@ class GroupCommitter {
     bool done = false;
     Status status;
     Lsn lsn = 0;
-    /// Async-flush mode: the watermark this request's ack must wait for
-    /// (0 = nothing to wait for — unsynced, failed, or inline mode).
-    Lsn flush_target = 0;
   };
 
-  /// Post-batch ack: waits out the flushed-LSN watermark when the leader
-  /// handed the fsync to the flusher, unpinning on flush failure exactly
-  /// like the inline path does.
-  Result<Lsn> Finish(const Request& req);
-
   Wal* wal_;
+  /// Most records one leader folds into a batch: max(8, 4 * cores), capped
+  /// at 256 — enough to absorb every plausibly-runnable committer without
+  /// letting a burst build a batch whose ack latency is dominated by its
+  /// own tail. Later arrivals elect the next leader.
+  const size_t max_batch_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Request*> queue_;
@@ -212,20 +187,20 @@ class Wal {
   /// File names inside the WalDir.
   static std::string SegmentName(uint64_t index);  ///< "wal.000001"
   static std::string FreeName(uint64_t index);     ///< "wal.free.000001"
-  static std::string PrepName(uint64_t seq);       ///< "wal.prep.000001"
   /// Pre-segmentation single-file log; Open() refuses a directory that
   /// holds one and leaves it untouched.
   static constexpr const char* kLegacyName = "wal.log";
 
   explicit Wal(std::shared_ptr<WalDir> dir, WalOptions options = {});
-  ~Wal();
 
   /// Discovers, orders and validates the segment chain (creating the first
   /// segment for an empty directory), drops a half-created newest segment,
   /// and positions the append cursor after the newest segment's valid
-  /// frame prefix (truncating a torn tail). A gap or out-of-order base
-  /// inside the chain is Corruption. A directory holding a pre-segment
-  /// `wal.log` is NotSupported, checked before any file is touched.
+  /// frame prefix (truncating a torn tail). Removes any `wal.prep.*` file
+  /// an earlier version's segment pre-allocation left behind. A gap or
+  /// out-of-order base inside the chain is Corruption. A directory holding
+  /// a pre-segment `wal.log` is NotSupported, checked before any file is
+  /// touched.
   Status Open();
 
   /// Appends one record; returns its LSN. With pin=true the LSN is pinned
@@ -244,23 +219,14 @@ class Wal {
                      std::vector<Lsn>* lsns,
                      const std::vector<bool>* pins = nullptr);
 
-  /// Forces every frame appended so far to stable storage (every older
-  /// segment was already synced when the chain rolled past it). Inline
-  /// mode fsyncs on the calling thread; async mode hands the target to the
-  /// flusher and waits on the flushed-LSN watermark. Fails sticky: once
-  /// any chain sync fails the log is poisoned (see poisoned()).
+  /// Forces every frame appended so far to stable storage on the calling
+  /// thread (every older segment was already synced when the chain rolled
+  /// past it): cursor first, file snapshot second, fsync, then the
+  /// flushed-LSN advance. Passes are serialized by sync_mu_, so no sync
+  /// can report OK after a peer's failed fsync poisoned the log. Fails
+  /// sticky: once any chain sync fails the log is poisoned (see
+  /// poisoned()).
   Status Sync();
-
-  // --- async flush watermark --------------------------------------------
-
-  /// Asks the flusher to make everything below `target` durable; returns
-  /// without waiting. Poison-checked.
-  Status RequestFlush(Lsn target);
-
-  /// Blocks until the flushed-LSN watermark covers `target` (then the data
-  /// IS durable — even a concurrent poisoning cannot retract that) or the
-  /// log is poisoned below it (then the sticky IOError).
-  Status WaitFlushed(Lsn target);
 
   /// Every frame below this LSN is on stable storage.
   Lsn FlushedLsn() const {
@@ -349,11 +315,6 @@ class Wal {
   uint64_t segments_deleted() const { return segments_deleted_.load(); }
   uint64_t segments_recycled() const { return segments_recycled_.load(); }
   uint64_t segments_reused() const { return segments_reused_.load(); }
-  /// Rolls that adopted a pre-built segment by rename instead of running
-  /// create+header+sync inline on the append path.
-  uint64_t segments_preallocated() const {
-    return segments_preallocated_.load();
-  }
 
   /// Physical offset of `lsn` WITHIN its containing segment (test hook:
   /// lets tests inject torn frames at known byte positions).
@@ -366,10 +327,11 @@ class Wal {
   /// "wal.segment.post_create", "wal.truncate.pre_unlink",
   /// "wal.append.fail_after_roll"; and EIO sync points (a non-OK status
   /// simulates the fsync/dir-sync itself failing, which POISONS the log):
-  /// "wal.sync.fail" (active-segment fsync — group flush and inline),
+  /// "wal.sync.fail" (active-segment fsync),
   /// "wal.sync.retiring" (retiring-segment fsync at a roll),
   /// "wal.dirsync.create" / "wal.dirsync.rename" / "wal.dirsync.unlink"
-  /// (segment create / rename-adoption / retirement directory syncs).
+  /// (fresh segment create / recycled segment rename / retirement
+  /// directory syncs).
   FaultHooks fault_hooks;
 
  private:
@@ -385,27 +347,14 @@ class Wal {
     std::shared_ptr<PagedFile> file;
   };
 
-  /// A segment file built off-path by the flusher, waiting to be adopted
-  /// into the chain by the next roll.
-  struct PreparedSegment {
-    std::string name;
-    bool from_free_pool = false;
-    std::unique_ptr<PagedFile> file;
-  };
-
   static Status WriteSegmentHeader(PagedFile* file, Lsn base, uint64_t epoch);
   static Status ReadSegmentHeader(PagedFile* file, Lsn* base, uint64_t* epoch,
                                   bool* valid);
 
-  /// Opens (recycled or fresh) a segment anchored at `base` and appends it
-  /// to the chain — adopting the flusher's prepared segment when one is
-  /// ready. Caller holds latch_ (or is single-threaded Open).
+  /// Opens (recycled or fresh) a segment anchored at `base`, syncs its
+  /// header and the directory, and appends it to the chain. Caller holds
+  /// latch_ (or is single-threaded Open).
   Status AddSegmentLocked(Lsn base);
-
-  /// Rename-adopts a prepared segment as the new active segment at `base`:
-  /// one rename + a buffered header write, fsync and dir-sync deferred to
-  /// the flusher. Caller holds latch_.
-  Status AdoptPreparedLocked(Lsn base, std::unique_ptr<PreparedSegment> prep);
 
   /// Retiring-segment fsync at a roll (named EIO point; poisons on
   /// failure). Caller holds latch_.
@@ -432,53 +381,27 @@ class Wal {
   /// Segment containing `lsn` (largest base <= lsn); caller holds seg_mu_.
   const Segment* SegmentAtLocked(Lsn lsn) const;
 
-  /// Body of Open(): everything up to the watermark/flusher bring-up.
+  /// Body of Open(): everything up to the watermark bring-up.
   Status OpenChain();
 
-  // --- poison / flusher internals ---------------------------------------
+  // --- poison internals -------------------------------------------------
 
   /// OK, or the sticky poison IOError. Entry check of every append / sync
   /// / truncate path (acquire side of the poison publication).
   Status CheckPoisoned() const;
 
   /// Records `cause` (first failure wins) and publishes the poison flag
-  /// with release ordering, failing every parked flush waiter. No-op
-  /// before Open() completes — recovery-time sync failures stay fail-stop.
+  /// with release ordering. No-op before Open() completes — recovery-time
+  /// sync failures stay fail-stop.
   void Poison(const Status& cause);
 
-  Status PoisonedStatusLocked() const;  // flush_mu_ held
-
-  /// One fsync pass over the active segment: cursor first, file snapshot
-  /// second, then fsync, any deferred dir-sync, and the watermark advance.
-  /// Runs on the flusher thread (async mode) or the caller (inline mode);
-  /// serialized by sync_mu_ so a poisoning peer is always observed.
-  Status FlushOnce();
-
-  /// Publishes `upto` into flushed_lsn_ and wakes satisfied waiters.
-  void AdvanceFlushed(Lsn upto);
+  Status PoisonedStatusLocked() const;  // poison_mu_ held
 
   /// Injected-EIO fidelity: models the kernel dropping the file's DIRTY
   /// pages after a failed fsync — everything beyond the flushed watermark
   /// (clean, previously-synced bytes survive) is truncated away before the
   /// log is poisoned.
   void SimulateSyncLoss(const std::shared_ptr<PagedFile>& file, Lsn base);
-
-  /// Builds the next segment file off-path (flusher thread): recycled or
-  /// fresh, size-reserved, fsynced and dir-synced, published into
-  /// prepared_ for the next roll to adopt.
-  void PrepareSegmentOffPath();
-
-  /// Asks the flusher to (re)build a prepared segment.
-  void NudgeFlusherPrep();
-
-  bool UseAsyncFlush() const {
-    return options_.async_flush &&
-           flusher_running_.load(std::memory_order_acquire);
-  }
-
-  void StartFlusher();
-  void StopFlusher();
-  void FlusherMain();
 
   std::shared_ptr<WalDir> dir_;
   WalOptions options_;
@@ -510,53 +433,28 @@ class Wal {
   std::atomic<uint64_t> segments_deleted_{0};
   std::atomic<uint64_t> segments_recycled_{0};
   std::atomic<uint64_t> segments_reused_{0};
-  std::atomic<uint64_t> segments_preallocated_{0};
 
   /// Set once Open() succeeds: sync failures before that are fail-stop
   /// (the open errors out), after it they poison.
   std::atomic<bool> open_complete_{false};
 
   /// Sticky failure flag. Published with RELEASE after poison_cause_ is
-  /// recorded under flush_mu_; read with ACQUIRE by CheckPoisoned() and by
-  /// FlushOnce()'s pre-fsync check, so a thread that observes the flag also
+  /// recorded under poison_mu_; read with ACQUIRE by CheckPoisoned() and by
+  /// Sync()'s pre-fsync check, so a thread that observes the flag also
   /// observes the cause — and, because fsync passes are serialized by
   /// sync_mu_, no sync can report OK after a peer's EIO poisoned the log.
   std::atomic<bool> poisoned_{false};
-  Status poison_cause_;  // guarded by flush_mu_
+  mutable std::mutex poison_mu_;
+  Status poison_cause_;  // guarded by poison_mu_
 
-  /// Serializes fsync passes (FlushOnce) so the fault-check → simulate →
+  /// Serializes fsync passes (Sync) so the fault-check → simulate →
   /// poison sequence of one syncer is atomic against a peer's fsync+check.
   std::mutex sync_mu_;
 
-  /// Flusher thread state. flush_target_ / flusher_stop_ / prep_nudge_ /
-  /// flush_waiters_ are guarded by flush_mu_.
-  std::thread flusher_;
-  std::atomic<bool> flusher_running_{false};
-  mutable std::mutex flush_mu_;
-  std::condition_variable flush_cv_;
-  bool flusher_stop_ = false;
-  bool prep_nudge_ = false;
-  Lsn flush_target_ = 0;
+  /// Monotonic watermark: every frame below it is on stable storage.
+  /// Advanced by Sync() under sync_mu_; lowered only by ReadFrom's
+  /// torn-tail shave during single-threaded recovery.
   std::atomic<Lsn> flushed_lsn_{0};
-
-  /// Commit acks park here until the watermark covers their LSN
-  /// (TimestampOracle-style per-target slots: the waker erases the slot
-  /// under flush_mu_ and notifies outside it; waiters hold a shared_ptr so
-  /// the slot outlives the erase).
-  struct FlushWaiter {
-    std::condition_variable cv;
-  };
-  std::map<Lsn, std::shared_ptr<FlushWaiter>> flush_waiters_;
-
-  /// Next pre-built segment, ready for rename adoption. Guarded by
-  /// seg_mu_. prep_seq_ is touched only by the flusher thread.
-  std::unique_ptr<PreparedSegment> prepared_;
-  uint64_t prep_seq_ = 1;
-
-  /// True while the newest adoption's rename (and the recycle-pool churn
-  /// around it) still needs a directory sync — performed by the flusher's
-  /// next pass, or inline by the NEXT roll (at most one outstanding).
-  std::atomic<bool> dir_sync_pending_{false};
 
   GroupCommitter group_{this};
 

@@ -68,7 +68,7 @@ inline const std::vector<std::string>& AllEioPoints() {
       "wal.sync.fail",        // fsync of the active segment.
       "wal.sync.retiring",    // fsync of a full segment at roll.
       "wal.dirsync.create",   // Directory sync publishing a fresh segment.
-      "wal.dirsync.rename",   // Directory sync publishing an adoption.
+      "wal.dirsync.rename",   // Directory sync of a recycled segment's rename.
       "wal.dirsync.unlink",   // Directory sync retiring dead segments.
   };
   return points;
@@ -82,9 +82,10 @@ class CrashPoint {
  public:
   CrashPoint(GraphDatabase* db, std::string point, uint64_t fire_on_hit = 1)
       : state_(std::make_shared<State>(std::move(point), fire_on_hit)) {
-    // The hook owns the state via shared_ptr: the WAL flusher thread may
-    // still be evaluating it after this CrashPoint object goes out of
-    // scope (the database outlives the arming object in every harness).
+    // The hook owns the state via shared_ptr: a checkpoint or GC daemon
+    // thread may still be evaluating it after this CrashPoint object goes
+    // out of scope (the database outlives the arming object in every
+    // harness).
     auto state = state_;
     auto fn = [state](const char* at) -> Status {
       if (state->point != at) return Status::OK();
@@ -132,10 +133,6 @@ class CrashLoopHarness {
     /// takes extra locks around the WAL append and must observe the same
     /// fail-before-ack contract).
     IsolationLevel isolation = IsolationLevel::kSnapshotIsolation;
-    /// Commit I/O mode (both combinations of flusher-owned fsync and
-    /// off-path pre-allocation are valid; EIO semantics must be identical).
-    bool wal_async_flush = true;
-    bool wal_preallocate = true;
   };
 
   explicit CrashLoopHarness(std::filesystem::path dir)
@@ -159,8 +156,6 @@ class CrashLoopHarness {
     options.wal_segment_size = options_.wal_segment_size;
     options.wal_recycle_segments = options_.wal_recycle_segments;
     options.default_isolation = options_.isolation;
-    options.wal_async_flush = options_.wal_async_flush;
-    options.wal_preallocate = options_.wal_preallocate;
     return options;
   }
 
@@ -224,8 +219,11 @@ class CrashLoopHarness {
   ///   2. the WAL is poisoned from that moment on, and every subsequent
   ///      commit fails with a non-retryable IOError — a later fsync
   ///      returning success must never re-ack data the kernel dropped;
-  ///   3. kill + reopen recovers exactly the acked prefix (shadow model).
+  ///   3. kill + reopen recovers exactly the acked prefix (shadow model);
+  ///   4. the armed point fired in at least one round — a point the
+  ///      workload never reaches would otherwise pass vacuously.
   void RunEio(const std::string& point) {
+    bool fired = false;
     for (int round = 0; round < options_.rounds; ++round) {
       auto opened = GraphDatabase::Open(DbOptions());
       ASSERT_TRUE(opened.ok()) << "round " << round << ": " << opened.status();
@@ -261,6 +259,7 @@ class CrashLoopHarness {
           if (!db->Checkpoint().ok()) failed = true;
         }
       }
+      fired |= eio.fired();
 
       if (failed) {
         // Sticky: the store object is now unusable for writes. Every
@@ -286,6 +285,8 @@ class CrashLoopHarness {
       // Kill: destroy without clean-shutdown work; reopen at the top of
       // the next round verifies no acked commit was lost.
     }
+    EXPECT_TRUE(fired) << point << " never fired in " << options_.rounds
+                       << " rounds: the workload does not reach it";
     auto opened = GraphDatabase::Open(DbOptions());
     ASSERT_TRUE(opened.ok()) << opened.status();
     auto db = std::move(*opened);

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 
 #include "graph/graph_database.h"
@@ -11,13 +12,17 @@
 namespace neosi {
 namespace {
 
-void AwaitDrained(GraphDatabase& db, size_t below = 1) {
+/// Polls `done` for up to 5 s.
+void AwaitTrue(const std::function<bool()>& done) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (db.engine().gc_list.backlog() >= below &&
-         std::chrono::steady_clock::now() < deadline) {
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
+}
+
+void AwaitDrained(GraphDatabase& db, size_t below = 1) {
+  AwaitTrue([&] { return db.engine().gc_list.backlog() < below; });
 }
 
 TEST(GcDaemon, CollectsInBackground) {
@@ -41,7 +46,13 @@ TEST(GcDaemon, CollectsInBackground) {
     ASSERT_TRUE(txn->Commit().ok());
   }
   // The daemon reclaims the superseded versions without any explicit call.
+  // It counts a pass after the drain the backlog already shows, so wait for
+  // the counters too.
   AwaitDrained(*db);
+  AwaitTrue([&] {
+    return db->gc_daemon()->passes() > 0 &&
+           db->gc_daemon()->versions_pruned() >= 50;
+  });
   EXPECT_EQ(db->engine().gc_list.backlog(), 0u);
   EXPECT_GT(db->gc_daemon()->passes(), 0u);
   EXPECT_GE(db->gc_daemon()->versions_pruned(), 50u);
@@ -94,6 +105,9 @@ TEST(GcDaemon, BacklogThresholdNudgeFiresWithoutInterval) {
     ASSERT_TRUE(txn->Commit().ok());
   }
   AwaitDrained(*db, /*below=*/4);
+  // The pass is counted after its drain; with a 60 s interval, no nudge
+  // pass means no count within the wait.
+  AwaitTrue([&] { return db->gc_daemon()->nudge_passes() >= 1; });
   EXPECT_LT(db->engine().gc_list.backlog(), 4u);
   EXPECT_GE(db->gc_daemon()->nudge_passes(), 1u);
   EXPECT_EQ(db->gc_daemon()->interval_passes(), 0u);

@@ -330,7 +330,15 @@ TEST(WalSegments, ChainSurvivesReopen) {
     segments = wal->SegmentCount();
     ASSERT_GT(segments, 1u);
   }
+  // Earlier versions pre-allocated the next segment as a headerless
+  // `wal.prep.*` file. Reopen removes a leftover one instead of adopting it.
+  std::unique_ptr<PagedFile> leftover;
+  ASSERT_TRUE(dir->Open("wal.prep.000007", &leftover).ok());
+  ASSERT_TRUE(leftover->Truncate(192).ok());
+  leftover.reset();
+
   auto reopened = OpenWal(dir, TinySegments());
+  EXPECT_FALSE(dir->Exists("wal.prep.000007"));
   EXPECT_EQ(reopened->SegmentCount(), segments);
   EXPECT_EQ(ReplayTimestamps(reopened.get()), expect);
   // Appends continue above everything ever written.
@@ -698,7 +706,8 @@ TEST(Wal, OpenRefusesPreSegmentLogAndTouchesNoFile) {
   file.reset();
   // Files Open() would otherwise remove or adopt.
   for (const std::string& name :
-       {Wal::SegmentName(1), Wal::FreeName(2), Wal::PrepName(3)}) {
+       {Wal::SegmentName(1), Wal::FreeName(2),
+        std::string("wal.prep.000003")}) {
     ASSERT_TRUE(dir->Open(name, &file).ok());
     file.reset();
   }
@@ -831,7 +840,7 @@ TEST(GroupCommitter, ConcurrentSyncCommitsAllDurableAndDecodable) {
   }
 }
 
-// --- sticky poison & async commit I/O ----------------------------------------
+// --- sticky poison & the flushed watermark ----------------------------------
 
 TEST(WalPoison, SyncEioPoisonsUntilReopen) {
   auto dir = std::make_shared<InMemoryWalDir>();
@@ -916,85 +925,26 @@ TEST(WalPoison, ConcurrentSyncersSeeStickyFailure) {
   EXPECT_TRUE(wal->Sync().IsIOError());
 }
 
-TEST(WalAsyncFlush, WatermarkAcksExactlyTheSyncedPrefix) {
+TEST(WalFlush, WatermarkAcksExactlyTheSyncedPrefix) {
   auto dir = std::make_shared<InMemoryWalDir>();
-  WalOptions options;
-  options.async_flush = true;
-  auto wal = OpenWal(dir, options);
+  auto wal = OpenWal(dir);
   for (int i = 1; i <= 8; ++i) {
     ASSERT_TRUE(wal->Append(SmallRecord(i, i * 10)).ok());
   }
-  // Sync() hands the cursor to the flusher and blocks on the watermark.
+  // Appends alone advance nothing; Sync() covers the whole cursor.
+  EXPECT_LT(wal->FlushedLsn(), wal->NextLsn());
   ASSERT_TRUE(wal->Sync().ok());
   EXPECT_EQ(wal->FlushedLsn(), wal->NextLsn());
 
-  // Group commit through the async hand-off: the ack implies the record's
-  // LSN is at or below the watermark.
+  // A group-commit ack implies the leader's fsync covered the record.
   auto lsn = wal->group().Commit(SmallRecord(9, 90), /*sync=*/true);
   ASSERT_TRUE(lsn.ok());
   EXPECT_GT(wal->FlushedLsn(), *lsn);
   EXPECT_EQ(wal->FlushedLsn(), wal->NextLsn());
 
   wal.reset();
-  auto reopened = OpenWal(dir, options);
+  auto reopened = OpenWal(dir);
   EXPECT_EQ(ReplayTimestamps(reopened.get()).size(), 9u);
-}
-
-TEST(WalAsyncFlush, PoisonFailsWaitersAndLaterCommits) {
-  auto dir = std::make_shared<InMemoryWalDir>();
-  WalOptions options;
-  options.async_flush = true;
-  auto wal = OpenWal(dir, options);
-  ASSERT_TRUE(wal->Append(SmallRecord(1, 10)).ok());
-  ASSERT_TRUE(wal->Sync().ok());
-
-  wal->fault_hooks.Set([](const char* point) -> Status {
-    if (std::string(point) == "wal.sync.fail") {
-      return Status::IOError("injected EIO");
-    }
-    return Status::OK();
-  });
-  ASSERT_TRUE(wal->Append(SmallRecord(2, 20)).ok());
-  // The flusher hits the EIO; the blocked waiter must be failed, not left
-  // hanging, and the already-durable watermark must not retreat.
-  EXPECT_TRUE(wal->Sync().IsIOError());
-  EXPECT_TRUE(wal->poisoned());
-  wal->fault_hooks.Set(nullptr);
-  EXPECT_TRUE(wal->group().Commit(SmallRecord(3, 30), true).status().IsIOError());
-
-  wal.reset();
-  auto reopened = OpenWal(dir, options);
-  EXPECT_EQ(ReplayTimestamps(reopened.get()), (std::vector<Timestamp>{10}));
-}
-
-TEST(WalPrealloc, RollsAdoptPreparedSegmentsAndReopenDiscardsPrepFiles) {
-  auto dir = std::make_shared<InMemoryWalDir>();
-  WalOptions options = TinySegments(192, /*recycle_segments=*/2);
-  options.async_flush = true;
-  options.preallocate = true;
-  auto wal = OpenWal(dir, options);
-  constexpr int kRecords = 120;
-  for (int i = 1; i <= kRecords; ++i) {
-    ASSERT_TRUE(wal->Append(SmallRecord(i, i * 10)).ok());
-    // Each sync parks this thread on the watermark, which hands the core
-    // to the flusher — its prep loop keeps the next segment ready, so
-    // nearly every roll below is a rename adoption.
-    ASSERT_TRUE(wal->Sync().ok());
-  }
-  EXPECT_GT(wal->SegmentCount(), 1u);
-  EXPECT_GT(wal->segments_preallocated(), 0u);
-
-  // The flusher may leave a prepared-but-unadopted wal.prep.* file behind
-  // at shutdown; reopen must discard it (its header was never written, so
-  // adopting it would be chain corruption) and replay everything.
-  wal.reset();
-  auto reopened = OpenWal(dir, options);
-  for (const std::string& name : ListNames(dir.get())) {
-    EXPECT_EQ(name.rfind("wal.prep.", 0), std::string::npos) << name;
-  }
-  EXPECT_EQ(ReplayTimestamps(reopened.get()).size(), size_t{kRecords});
-  ASSERT_TRUE(reopened->Append(SmallRecord(kRecords + 1, 9990)).ok());
-  ASSERT_TRUE(reopened->Sync().ok());
 }
 
 }  // namespace
